@@ -1,9 +1,14 @@
 // Seed-corpus generator: writes one well-formed exemplar per fuzz target
-// into <out_dir>/{wal,index,json,stream,rpc,segment}/ using the real
-// production writers (WalAppender, DurableStore, SaveIndex, the net::
-// frame codec, tier::SegmentWriter), so the checked-in corpora under
-// fuzz/corpus/ always decode on the current format version.
-// Rerun after a format change:
+// into <out_dir>/{wal,index,json,stream,rpc,segment,journal,tier}/ using
+// the real production writers (WalAppender, DurableStore, SaveIndex, the
+// net:: frame codec, tier::SegmentWriter, the migration journal encoder,
+// tier::WriteTieredHead / WriteTierManifest), so the checked-in corpora
+// under fuzz/corpus/ always decode on the current format version.
+//
+// The output is byte-for-byte deterministic, so the checked-in corpus also
+// pins every on-disk and wire layout: `scripts/check.sh fuzz-smoke`
+// regenerates it into a temp dir and fails on any `diff -r` against
+// fuzz/corpus/. Regenerate (deliberately) after a format change:
 //
 //   cmake -B build -S . -DANC_FUZZ=ON && cmake --build build --target make_corpus
 //   ./build/fuzz/make_corpus fuzz/corpus
@@ -21,23 +26,16 @@
 #include "rebalance/journal.h"
 #include "store/store.h"
 #include "store/wal.h"
+#include "tier/head.h"
 #include "tier/segment.h"
+#include "tier/tiered_store.h"
+#include "tier_seed.h"
 #include "util/status.h"
 
 namespace fs = std::filesystem;
 using anc::Activation;
 
 namespace {
-
-anc::Graph MakeGraph() {
-  anc::GraphBuilder builder;
-  builder.SetNumNodes(6);
-  const std::pair<anc::NodeId, anc::NodeId> edges[] = {
-      {0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {3, 5},
-  };
-  for (const auto& [u, v] : edges) (void)builder.AddEdge(u, v);
-  return builder.Build();
-}
 
 void WriteText(const fs::path& path, const std::string& text) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -53,11 +51,11 @@ int main(int argc, char** argv) {
   }
   const fs::path out(argv[1]);
   for (const char* sub :
-       {"wal", "index", "json", "stream", "rpc", "segment", "journal"}) {
+       {"wal", "index", "json", "stream", "rpc", "segment", "journal", "tier"}) {
     fs::create_directories(out / sub);
   }
 
-  const anc::Graph graph = MakeGraph();
+  const anc::Graph graph = anc::fuzz::SeedGraph();
 
   // wal/: a real two-record segment plus a truncated copy (torn tail).
   {
@@ -287,6 +285,42 @@ int main(int argc, char** argv) {
               committed.substr(0, committed.size() - 5));
     committed.back() ^= 0x5a;
     WriteText(out / "journal" / "badcrc", committed);
+  }
+
+  // tier/: a real ANCTHD01 checkpoint head whose first page of each
+  // similarity-state column references a sealed segment (the rest inline),
+  // a truncated copy, and a real TIERMANIFEST naming that segment. The
+  // segment itself is rebuilt by fuzz_tier (fuzz/tier_seed.h), so it is
+  // written to a scratch dir here, not into the corpus.
+  {
+    anc::AncConfig config;
+    auto index = anc::AncIndex::Create(graph, config);
+    if (!index.ok()) return 1;
+    const fs::path scratch = out / "tier" / ".tier_scratch";
+    std::error_code ec;
+    fs::create_directories(scratch, ec);
+    anc::fuzz::TierSeed seed;
+    ANC_CHECK(anc::fuzz::WriteTierSeed(*index.value(), scratch.string(), &seed)
+                  .ok(),
+              "tier seed segment");
+    const std::string head = (out / "tier" / "head").string();
+    ANC_CHECK(anc::tier::WriteTieredHead(*index.value(), seed.anchored,
+                                         seed.similarity, head)
+                  .ok(),
+              "tiered head");
+    anc::tier::TierManifest manifest;
+    manifest.next_segment_id = 2;
+    manifest.segments = {anc::tier::SegmentFileName(1)};
+    ANC_CHECK(anc::tier::WriteTierManifest(scratch.string(), manifest).ok(),
+              "tier manifest");
+    fs::copy_file(scratch / "TIERMANIFEST", out / "tier" / "manifest",
+                  fs::copy_options::overwrite_existing, ec);
+    fs::remove_all(scratch, ec);
+
+    fs::copy_file(head, out / "tier" / "truncated",
+                  fs::copy_options::overwrite_existing, ec);
+    const auto size = fs::file_size(out / "tier" / "truncated", ec);
+    fs::resize_file(out / "tier" / "truncated", size / 2, ec);
   }
 
   std::fprintf(stderr, "corpus written under %s\n", out.string().c_str());

@@ -9,6 +9,8 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -35,6 +37,7 @@
 #include "shard/sharded_server.h"
 #include "shard/sharded_view.h"
 #include "store/test_hooks.h"
+#include "util/crc32c.h"
 #include "util/rng.h"
 
 namespace anc {
@@ -687,6 +690,49 @@ TEST(ShardRecoveryTest, LiveCrashSeamFreezesOneShardAndRecoverAllSurvives) {
   }
   EXPECT_GE(complete, server.num_shards() - 1);
   ExpectRecoveryMatchesFreshReplay(g, config, server, routed);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ShardRecoveryTest, MetaFileMatchesDocumentedLayout) {
+  // shards.meta is [magic "ANCSHRD1"][u32 shards][u32 nodes][u32 edges]
+  // [u32 shard per node][u32 crc32c of everything after the magic],
+  // little-endian (docs/sharding.md "Per-shard durability and recovery").
+  // Rebuild it byte by byte from the router's partition and compare.
+  Rng rng(53);
+  GroundTruthGraph data = DisjointCommunities(rng);
+  const Graph& g = data.graph;
+  const std::string dir = TempDir("anc_shard_meta_layout");
+  ShardedOptions options;
+  options.partition.num_shards = 3;
+  options.serve.durability = serve::DurabilityPolicy::kGroupCommit;
+  options.store_dir = dir;
+  auto created = ShardedServer::Create(g, TestConfig(), options);
+  ASSERT_TRUE(created.ok());
+  ShardedServer& server = *created.value();
+  ASSERT_TRUE(server.Start().ok());
+  const std::vector<uint32_t> assignment =
+      server.router()->partition().node_shard;
+  server.Stop();
+
+  std::string body;
+  const auto put_u32 = [&body](uint32_t value) {
+    body.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  put_u32(3);
+  put_u32(g.NumNodes());
+  put_u32(g.NumEdges());
+  ASSERT_EQ(assignment.size(), g.NumNodes());
+  for (const uint32_t s : assignment) put_u32(s);
+  std::string expected = "ANCSHRD1" + body;
+  const uint32_t crc = Crc32c(body.data(), body.size());
+  expected.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+
+  std::ifstream in(dir + "/shards.meta", std::ios::binary);
+  ASSERT_TRUE(in.good());
+  const std::string actual((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  EXPECT_EQ(actual, expected);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/shards.meta.tmp"));
   std::filesystem::remove_all(dir);
 }
 
