@@ -72,7 +72,7 @@
 //                           back to RAM first)
 //
 // Sharding (docs/sharding.md) — partitioned ingest over N writer shards:
-//   shard-start <k> [hash|ldg|fennel|hdrf] [dir]
+//   shard-start <k> [hash|ldg] [dir]
 //                           partition the graph and start k AncServer
 //                           shards (per-shard WAL under <dir>/shard-<i>
 //                           when a directory is given)
@@ -845,7 +845,7 @@ bool HandleLine(Session& session, const std::string& line) {
     std::string kind_name;
     std::string dir;
     if (!(args >> num_shards) || num_shards == 0) {
-      std::printf("usage: shard-start <k> [hash|ldg|fennel|hdrf] [dir]\n");
+      std::printf("usage: shard-start <k> [hash|ldg] [dir]\n");
       return true;
     }
     shard::ShardedOptions options;
@@ -854,7 +854,7 @@ bool HandleLine(Session& session, const std::string& line) {
       Result<shard::PartitionerKind> kind =
           shard::ParsePartitionerKind(kind_name);
       if (!kind.ok()) {
-        std::printf("usage: shard-start <k> [hash|ldg|fennel|hdrf] [dir]\n");
+        std::printf("usage: shard-start <k> [hash|ldg] [dir]\n");
         return true;
       }
       options.partition.kind = kind.value();

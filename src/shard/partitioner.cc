@@ -41,9 +41,9 @@ Status ValidateStreamingArgs(const Graph& g, uint32_t num_shards,
   return Status::OK();
 }
 
-/// Seeded random arrival order shared by the streaming partitioners (all of
-/// them are order-sensitive; a fixed seed keeps the partition — and
-/// everything downstream — reproducible). arrival_seed == 0 derives the
+/// LDG's seeded random arrival order (the greedy is order-sensitive; a
+/// fixed seed keeps the partition — and everything downstream —
+/// reproducible). arrival_seed == 0 derives the
 /// shuffle from `seed`, matching the pre-arrival_seed behavior.
 std::vector<NodeId> ArrivalOrder(uint32_t n, uint64_t seed,
                                  uint64_t arrival_seed) {
@@ -64,10 +64,6 @@ const char* PartitionerKindName(PartitionerKind kind) {
       return "hash";
     case PartitionerKind::kLdg:
       return "ldg";
-    case PartitionerKind::kFennel:
-      return "fennel";
-    case PartitionerKind::kHdrf:
-      return "hdrf";
   }
   return "unknown";
 }
@@ -75,8 +71,6 @@ const char* PartitionerKindName(PartitionerKind kind) {
 Result<PartitionerKind> ParsePartitionerKind(std::string_view name) {
   if (name == "hash") return PartitionerKind::kHash;
   if (name == "ldg") return PartitionerKind::kLdg;
-  if (name == "fennel") return PartitionerKind::kFennel;
-  if (name == "hdrf") return PartitionerKind::kHdrf;
   return Status::InvalidArgument("unknown partitioner kind: " +
                                  std::string(name));
 }
@@ -152,137 +146,6 @@ Result<Partition> LdgPartition(const Graph& g, uint32_t num_shards,
   return partition;
 }
 
-Result<Partition> FennelPartition(const Graph& g, uint32_t num_shards,
-                                  double balance_slack, uint64_t seed,
-                                  uint32_t passes, uint64_t arrival_seed) {
-  ANC_RETURN_NOT_OK(ValidateStreamingArgs(g, num_shards, balance_slack, passes));
-  const uint32_t n = g.NumNodes();
-  Partition partition;
-  partition.num_shards = num_shards;
-  partition.node_shard.assign(n, num_shards);  // num_shards == unassigned
-  if (n == 0) return partition;
-
-  const std::vector<NodeId> order = ArrivalOrder(n, seed, arrival_seed);
-  const double capacity =
-      balance_slack *
-      std::ceil(static_cast<double>(n) / static_cast<double>(num_shards));
-  // Fennel's interpolated cost: joining a shard of size z costs
-  // alpha * gamma * z^(gamma-1) against |N(v) ∩ s| won edges, with the
-  // paper's recommended gamma = 1.5 and alpha = sqrt(k) * m / n^1.5.
-  constexpr double kGamma = 1.5;
-  const double m = static_cast<double>(g.NumEdges());
-  const double alpha = std::sqrt(static_cast<double>(num_shards)) *
-                       std::max(m, 1.0) /
-                       std::pow(static_cast<double>(n), 1.5);
-  std::vector<uint32_t> sizes(num_shards, 0);
-  std::vector<uint32_t> neighbor_count(num_shards, 0);
-
-  for (uint32_t pass = 0; pass < passes; ++pass) {
-    for (const NodeId v : order) {
-      if (partition.node_shard[v] != num_shards) {
-        --sizes[partition.node_shard[v]];
-        partition.node_shard[v] = num_shards;
-      }
-      std::fill(neighbor_count.begin(), neighbor_count.end(), 0);
-      for (const Neighbor& nb : g.Neighbors(v)) {
-        const uint32_t s = partition.node_shard[nb.node];
-        if (s != num_shards) ++neighbor_count[s];
-      }
-      uint32_t best = num_shards;
-      double best_score = 0.0;
-      for (uint32_t s = 0; s < num_shards; ++s) {
-        const double z = static_cast<double>(sizes[s]);
-        if (z >= capacity) continue;  // hard bound keeps shards loadable
-        const double score =
-            static_cast<double>(neighbor_count[s]) -
-            alpha * kGamma * std::pow(z, kGamma - 1.0);
-        // Ties break toward the emptier shard, then the lower index, so the
-        // result is independent of float noise in the score ordering.
-        if (best == num_shards || score > best_score ||
-            (score == best_score && sizes[s] < sizes[best])) {
-          best_score = score;
-          best = s;
-        }
-      }
-      if (best == num_shards) {
-        // All shards at capacity (slack rounding on tiny graphs): fall back
-        // to the globally emptiest shard.
-        best = static_cast<uint32_t>(
-            std::min_element(sizes.begin(), sizes.end()) - sizes.begin());
-      }
-      partition.node_shard[v] = best;
-      ++sizes[best];
-    }
-  }
-  return partition;
-}
-
-Result<Partition> HdrfPartition(const Graph& g, uint32_t num_shards,
-                                double balance_slack, uint64_t seed,
-                                uint32_t passes, uint64_t arrival_seed) {
-  ANC_RETURN_NOT_OK(ValidateStreamingArgs(g, num_shards, balance_slack, passes));
-  const uint32_t n = g.NumNodes();
-  Partition partition;
-  partition.num_shards = num_shards;
-  partition.node_shard.assign(n, num_shards);  // num_shards == unassigned
-  if (n == 0) return partition;
-
-  const std::vector<NodeId> order = ArrivalOrder(n, seed, arrival_seed);
-  const double capacity =
-      balance_slack *
-      std::ceil(static_cast<double>(n) / static_cast<double>(num_shards));
-  // HDRF adapted from edge- to vertex-partitioning: a placed neighbor u
-  // contributes 1 + (1 - d(u) / (d(u) + d(v))), so low-degree vertices pull
-  // harder than hubs (hubs are the cheapest place to absorb the cut), plus
-  // an additive balance reward lambda * (max - size) / (max - min + 1).
-  constexpr double kLambda = 1.0;
-  std::vector<uint32_t> sizes(num_shards, 0);
-  std::vector<double> pull(num_shards, 0.0);
-
-  for (uint32_t pass = 0; pass < passes; ++pass) {
-    for (const NodeId v : order) {
-      if (partition.node_shard[v] != num_shards) {
-        --sizes[partition.node_shard[v]];
-        partition.node_shard[v] = num_shards;
-      }
-      const double dv = static_cast<double>(g.Neighbors(v).size());
-      std::fill(pull.begin(), pull.end(), 0.0);
-      for (const Neighbor& nb : g.Neighbors(v)) {
-        const uint32_t s = partition.node_shard[nb.node];
-        if (s == num_shards) continue;
-        const double du = static_cast<double>(g.Neighbors(nb.node).size());
-        pull[s] += 1.0 + (1.0 - du / (du + dv));
-      }
-      const uint32_t max_size =
-          *std::max_element(sizes.begin(), sizes.end());
-      const uint32_t min_size =
-          *std::min_element(sizes.begin(), sizes.end());
-      const double spread = static_cast<double>(max_size - min_size) + 1.0;
-      uint32_t best = num_shards;
-      double best_score = 0.0;
-      for (uint32_t s = 0; s < num_shards; ++s) {
-        if (static_cast<double>(sizes[s]) >= capacity) continue;
-        const double score =
-            pull[s] +
-            kLambda * static_cast<double>(max_size - sizes[s]) / spread;
-        // Same deterministic tie-break as LDG/Fennel.
-        if (best == num_shards || score > best_score ||
-            (score == best_score && sizes[s] < sizes[best])) {
-          best_score = score;
-          best = s;
-        }
-      }
-      if (best == num_shards) {
-        best = static_cast<uint32_t>(
-            std::min_element(sizes.begin(), sizes.end()) - sizes.begin());
-      }
-      partition.node_shard[v] = best;
-      ++sizes[best];
-    }
-  }
-  return partition;
-}
-
 Result<Partition> MakePartition(const Graph& g,
                                 const PartitionOptions& options) {
   if (!options.explicit_assignment.empty()) {
@@ -309,14 +172,6 @@ Result<Partition> MakePartition(const Graph& g,
       return LdgPartition(g, options.num_shards, options.balance_slack,
                           options.seed, options.ldg_passes,
                           options.arrival_seed);
-    case PartitionerKind::kFennel:
-      return FennelPartition(g, options.num_shards, options.balance_slack,
-                             options.seed, options.ldg_passes,
-                             options.arrival_seed);
-    case PartitionerKind::kHdrf:
-      return HdrfPartition(g, options.num_shards, options.balance_slack,
-                           options.seed, options.ldg_passes,
-                           options.arrival_seed);
   }
   return Status::InvalidArgument("unknown partitioner kind");
 }

@@ -22,20 +22,6 @@ enum class PartitionerKind : uint8_t {
   /// One pass, O(n + m), typically cuts a small fraction of the edges on
   /// community-structured graphs while keeping shards balanced.
   kLdg,
-  /// Streaming Fennel (Tsourakakis et al., WSDM'14): each vertex joins the
-  /// shard maximizing |N(v) ∩ s| - alpha * gamma * size_s^(gamma-1) with
-  /// gamma = 1.5 and alpha = sqrt(k) * m / n^1.5. Same arrival order,
-  /// capacity bound, and restreaming behavior as kLdg; the interpolated
-  /// cost term often beats LDG's multiplicative penalty on skewed-degree
-  /// graphs.
-  kFennel,
-  /// Degree-aware greedy in the spirit of HDRF (Petroni et al., CIKM'15),
-  /// adapted from edge- to vertex-partitioning: a placed neighbor u of v
-  /// contributes 1 + (1 - d(u) / (d(u) + d(v))) to shard s's score, so ties
-  /// resolve toward keeping *low*-degree vertices intact while high-degree
-  /// hubs absorb the cut; an additive lambda * (max - size) /
-  /// (max - min + 1) term keeps shards balanced.
-  kHdrf,
 };
 
 const char* PartitionerKindName(PartitionerKind kind);
@@ -49,13 +35,12 @@ struct PartitionOptions {
   double balance_slack = 1.1;
   /// Seeds the hash mix / the streaming arrival order.
   uint64_t seed = 1;
-  /// When non-zero, seeds the arrival-order shuffle of the streaming
-  /// partitioners (LDG/Fennel/HDRF) independently of `seed`, so benches can
-  /// vary arrival order while holding everything else fixed — and pin it
-  /// for run-to-run reproducibility. 0 means "derive from seed" (the
+  /// When non-zero, seeds LDG's arrival-order shuffle independently of
+  /// `seed`, so benches can vary arrival order while holding everything
+  /// else fixed — and pin it for run-to-run reproducibility. 0 means "derive from seed" (the
   /// pre-existing behavior: the shuffle uses `seed` directly).
   uint64_t arrival_seed = 0;
-  /// Total streaming passes for the greedy partitioners (must be >= 1).
+  /// Total LDG streaming passes (must be >= 1).
   /// Passes after the first restream the same arrival order against the
   /// previous assignment (restreaming): each vertex leaves its shard and
   /// greedily rejoins, now scoring against a complete neighborhood instead
@@ -105,13 +90,6 @@ Result<Partition> HashPartition(const Graph& g, uint32_t num_shards,
 Result<Partition> LdgPartition(const Graph& g, uint32_t num_shards,
                                double balance_slack, uint64_t seed,
                                uint32_t passes = 1, uint64_t arrival_seed = 0);
-Result<Partition> FennelPartition(const Graph& g, uint32_t num_shards,
-                                  double balance_slack, uint64_t seed,
-                                  uint32_t passes = 1,
-                                  uint64_t arrival_seed = 0);
-Result<Partition> HdrfPartition(const Graph& g, uint32_t num_shards,
-                                double balance_slack, uint64_t seed,
-                                uint32_t passes = 1, uint64_t arrival_seed = 0);
 
 /// Scores `partition` against `g`. partition.node_shard must cover g.
 PartitionStats ComputeStats(const Graph& g, const Partition& partition);

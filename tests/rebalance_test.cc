@@ -1,5 +1,5 @@
 // Rebalance-subsystem tests (src/rebalance/, docs/sharding.md
-// "Rebalancing & live migration"): Fennel/HDRF partitioner units, the
+// "Rebalancing & live migration"): partitioner units, the
 // ANCMIG01 migration journal, the cut-drift monitor and activity-weighted
 // planner, and the live-migration differential guarantees — merged
 // answers byte-identical to an unsharded oracle before and after a
@@ -54,9 +54,7 @@ using rebalance::Rebalancer;
 using rebalance::RebalancerOptions;
 using rebalance::RebalancePlan;
 using shard::ComputeStats;
-using shard::FennelPartition;
 using shard::HashPartition;
-using shard::HdrfPartition;
 using shard::LdgPartition;
 using shard::MakePartition;
 using shard::Partition;
@@ -146,107 +144,36 @@ void ExpectMatchesOracle(const ShardedServer& server, const AncIndex& oracle,
   }
 }
 
-// --- Partitioners: Fennel and HDRF ----------------------------------------
-
-TEST(RebalancePartitionerTest, FennelAndHdrfCoverBalanceAndBeatHash) {
-  Rng rng(11);
-  PlantedPartitionParams params;
-  params.num_communities = 8;
-  params.min_size = 20;
-  params.max_size = 40;
-  params.mixing = 0.10;
-  GroundTruthGraph data = PlantedPartition(params, rng);
-  const Graph& g = data.graph;
-
-  auto hash = HashPartition(g, 4, 1);
-  ASSERT_TRUE(hash.ok());
-  const PartitionStats hash_stats = ComputeStats(g, hash.value());
-
-  for (const PartitionerKind kind :
-       {PartitionerKind::kFennel, PartitionerKind::kHdrf}) {
-    PartitionOptions options;
-    options.num_shards = 4;
-    options.kind = kind;
-    options.ldg_passes = 2;
-    auto partition = MakePartition(g, options);
-    ASSERT_TRUE(partition.ok()) << PartitionerKindName(kind);
-    const PartitionStats stats = ComputeStats(g, partition.value());
-    uint64_t nodes = 0;
-    uint64_t owned = 0;
-    for (const uint32_t c : stats.shard_nodes) nodes += c;
-    for (const uint32_t c : stats.shard_owned_edges) owned += c;
-    EXPECT_EQ(nodes, g.NumNodes()) << PartitionerKindName(kind);
-    EXPECT_EQ(owned, g.NumEdges()) << PartitionerKindName(kind);
-    EXPECT_LT(stats.cut_ratio, hash_stats.cut_ratio)
-        << PartitionerKindName(kind);
-    EXPECT_LT(stats.cut_ratio, 0.5) << PartitionerKindName(kind);
-    EXPECT_LE(stats.balance, 1.1 * 1.1) << PartitionerKindName(kind);
-  }
-}
-
-TEST(RebalancePartitionerTest, FennelAndHdrfAreDeterministicPerSeed) {
-  Rng rng(13);
-  const Graph g = BarabasiAlbert(200, 3, rng);
-  for (const auto& run : {FennelPartition, HdrfPartition}) {
-    auto a = run(g, 4, 1.1, 42, 1, 0);
-    auto b = run(g, 4, 1.1, 42, 1, 0);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(a.value().node_shard, b.value().node_shard);
-  }
-}
+// --- Partitioners ---------------------------------------------------------
 
 TEST(RebalancePartitionerTest, ArrivalSeedVariesOrderIndependentlyOfSeed) {
   Rng rng(17);
   const Graph g = BarabasiAlbert(300, 3, rng);
-  // Same seed, different arrival orders: the greedy outcome should change
-  // for at least one of the streaming partitioners, while each
-  // (seed, arrival_seed) pair stays reproducible.
-  bool any_differs = false;
-  for (const auto& run : {LdgPartition, FennelPartition, HdrfPartition}) {
-    auto base = run(g, 4, 1.1, /*seed=*/1, 1, /*arrival_seed=*/0);
-    auto shuffled = run(g, 4, 1.1, /*seed=*/1, 1, /*arrival_seed=*/99);
-    auto shuffled_again = run(g, 4, 1.1, /*seed=*/1, 1, /*arrival_seed=*/99);
-    ASSERT_TRUE(base.ok());
-    ASSERT_TRUE(shuffled.ok());
-    ASSERT_TRUE(shuffled_again.ok());
-    EXPECT_EQ(shuffled.value().node_shard, shuffled_again.value().node_shard);
-    if (shuffled.value().node_shard != base.value().node_shard) {
-      any_differs = true;
-    }
-  }
-  EXPECT_TRUE(any_differs);
-}
-
-TEST(RebalancePartitionerTest, RestreamingTightensFennelAndHdrfCuts) {
-  Rng rng(19);
-  PlantedPartitionParams params;
-  params.num_communities = 8;
-  params.min_size = 20;
-  params.max_size = 40;
-  params.mixing = 0.10;
-  GroundTruthGraph data = PlantedPartition(params, rng);
-  for (const auto& run : {FennelPartition, HdrfPartition}) {
-    auto one_pass = run(data.graph, 4, 1.1, 1, /*passes=*/1, 0);
-    auto restreamed = run(data.graph, 4, 1.1, 1, /*passes=*/3, 0);
-    ASSERT_TRUE(one_pass.ok());
-    ASSERT_TRUE(restreamed.ok());
-    const PartitionStats before = ComputeStats(data.graph, one_pass.value());
-    const PartitionStats after = ComputeStats(data.graph, restreamed.value());
-    EXPECT_LE(after.cut_ratio, before.cut_ratio);
-    EXPECT_LE(after.balance, 1.1 * 1.1);
-  }
+  // Same seed, different arrival orders: the greedy outcome changes, while
+  // each (seed, arrival_seed) pair stays reproducible.
+  auto base = LdgPartition(g, 4, 1.1, /*seed=*/1, 1, /*arrival_seed=*/0);
+  auto shuffled = LdgPartition(g, 4, 1.1, /*seed=*/1, 1, /*arrival_seed=*/99);
+  auto shuffled_again =
+      LdgPartition(g, 4, 1.1, /*seed=*/1, 1, /*arrival_seed=*/99);
+  ASSERT_TRUE(base.ok());
+  ASSERT_TRUE(shuffled.ok());
+  ASSERT_TRUE(shuffled_again.ok());
+  EXPECT_EQ(shuffled.value().node_shard, shuffled_again.value().node_shard);
+  EXPECT_NE(shuffled.value().node_shard, base.value().node_shard);
 }
 
 TEST(RebalancePartitionerTest, KindNamesRoundTrip) {
-  EXPECT_STREQ(PartitionerKindName(PartitionerKind::kFennel), "fennel");
-  EXPECT_STREQ(PartitionerKindName(PartitionerKind::kHdrf), "hdrf");
-  ASSERT_TRUE(shard::ParsePartitionerKind("fennel").ok());
-  EXPECT_EQ(shard::ParsePartitionerKind("fennel").value(),
-            PartitionerKind::kFennel);
-  ASSERT_TRUE(shard::ParsePartitionerKind("hdrf").ok());
-  EXPECT_EQ(shard::ParsePartitionerKind("hdrf").value(),
-            PartitionerKind::kHdrf);
+  // The rebalancer re-partitions with the same ladder the shards started
+  // with: hash and LDG. Fennel and HDRF were removed (they never beat
+  // 3-pass LDG on cut), and their names no longer parse.
+  for (const PartitionerKind kind :
+       {PartitionerKind::kHash, PartitionerKind::kLdg}) {
+    const auto parsed = shard::ParsePartitionerKind(PartitionerKindName(kind));
+    ASSERT_TRUE(parsed.ok());
+    EXPECT_EQ(parsed.value(), kind);
+  }
+  EXPECT_FALSE(shard::ParsePartitionerKind("fennel").ok());
+  EXPECT_FALSE(shard::ParsePartitionerKind("hdrf").ok());
 }
 
 // --- Migration journal ----------------------------------------------------
