@@ -1,182 +1,71 @@
 #include "core/serialization.h"
-#include <cstring>
 
 #include <cstdint>
-#include <fstream>
-#include <sstream>
 #include <vector>
 
-#include "util/crc32c.h"
+#include "util/atomic_file.h"
 
 namespace anc {
 
 namespace {
 
-// Format v2 (current): [magic "ANCIDX02"][u32 version][u64 payload_bytes]
-// [u32 crc32c(payload)][payload]. The checksum rejects bit rot and
+// Format v2 (current): [magic "ANCIDX02"][u32 version = 2][u64 payload
+// length][u32 crc32c(payload)][payload]. The checksum rejects bit rot and
 // truncation with InvalidArgument instead of loading silently-corrupt
-// state; the explicit version field rejects files from a different format
+// state; the version in the prefix rejects files from a different format
 // generation ("ANCIDX01" seeds included) rather than misparsing them.
-constexpr char kMagic[8] = {'A', 'N', 'C', 'I', 'D', 'X', '0', '2'};
-constexpr char kMagicPrefix[6] = {'A', 'N', 'C', 'I', 'D', 'X'};
-constexpr uint32_t kFormatVersion = 2;
-// Corruption guard: refuse to allocate payloads beyond this (a corrupt
-// size field must not drive a multi-GB resize).
-constexpr uint64_t kMaxPayloadBytes = 16ull << 30;
+constexpr char kIndexPrefix[12] = {'A', 'N', 'C', 'I', 'D', 'X',
+                                   '0', '2', 2,   0,   0,   0};
+// Corruption guard: a length beyond this is rejected, never allocated.
+constexpr FrameFormat kIndexFrame{
+    std::string_view(kIndexPrefix, sizeof(kIndexPrefix)), 8, 16ull << 30};
 
-template <typename T>
-void WritePod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
-
-template <typename T>
-void WriteVec(std::ostream& out, const std::vector<T>& values) {
-  WritePod<uint64_t>(out, values.size());
-  out.write(reinterpret_cast<const char*>(values.data()),
-            static_cast<std::streamsize>(values.size() * sizeof(T)));
-}
-
-template <typename T>
-bool ReadVec(std::istream& in, std::vector<T>* values,
-             uint64_t max_elements) {
-  uint64_t size = 0;
-  if (!ReadPod(in, &size)) return false;
-  if (size > max_elements) return false;  // corruption guard
-  values->resize(size);
-  in.read(reinterpret_cast<char*>(values->data()),
-          static_cast<std::streamsize>(size * sizeof(T)));
-  return static_cast<bool>(in);
-}
-
-// Generous corruption guard for vector lengths (64M elements).
-constexpr uint64_t kMaxElements = 1ull << 26;
-
-}  // namespace
-
-Status SaveIndex(const AncIndex& index, const std::string& path) {
-  // Serialize the payload into memory first so its checksum and size can
-  // frame it; index snapshots are bounded by kMaxElements sections, so
-  // this stays well under the write-then-rename working set of a
-  // checkpoint anyway.
-  std::ostringstream out(std::ios::binary);
-
-  // --- graph topology ---
+void PutGraphAndConfig(std::string* out, const AncIndex& index) {
   const Graph& g = index.graph();
-  WritePod<uint32_t>(out, g.NumNodes());
+  PutU32(out, g.NumNodes());
   std::vector<uint64_t> edges(g.NumEdges());
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {
     const auto& [u, v] = g.Endpoints(e);
     edges[e] = (static_cast<uint64_t>(u) << 32) | v;
   }
-  WriteVec(out, edges);
+  PutVec(out, edges);
 
-  // --- configuration ---
   const AncConfig& config = index.config();
-  WritePod(out, config.similarity.lambda);
-  WritePod(out, config.similarity.epsilon);
-  WritePod(out, config.similarity.mu);
-  WritePod(out, config.similarity.min_similarity);
-  WritePod(out, config.similarity.max_similarity);
-  WritePod(out, config.similarity.initial_activeness);
-  WritePod(out, config.pyramid.num_pyramids);
-  WritePod(out, config.pyramid.theta);
-  WritePod(out, config.pyramid.seed);
-  WritePod(out, config.pyramid.num_threads);
-  WritePod<uint8_t>(out, static_cast<uint8_t>(config.mode));
-  WritePod(out, config.rep);
-  WritePod(out, config.reinforce_interval);
-
-  // --- similarity / activeness state ---
-  SimilarityEngine::Snapshot snapshot = index.engine().TakeSnapshot();
-  WritePod(out, snapshot.anchor_time);
-  WritePod(out, snapshot.last_time);
-  WriteVec(out, snapshot.anchored_activeness);
-  WriteVec(out, snapshot.similarity);
-
-  // --- ANCOR interval bookkeeping ---
-  WritePod(out, index.last_reinforce_time());
-  WriteVec(out, index.PendingReinforceEdges());
-
-  // --- pyramid partition trees (exact, including tie-breaks) ---
-  std::vector<VoronoiPartition::TreeState> trees =
-      index.index().ExportTreeStates();
-  WritePod<uint64_t>(out, trees.size());
-  for (const auto& tree : trees) {
-    WriteVec(out, tree.seeds);
-    WriteVec(out, tree.seed_of);
-    WriteVec(out, tree.dist);
-    WriteVec(out, tree.parent);
-    WriteVec(out, tree.parent_edge);
-    WriteVec(out, tree.first_child);
-    WriteVec(out, tree.next_sibling);
-    WriteVec(out, tree.prev_sibling);
-  }
-
-  if (!out) return Status::IoError("serialization error for " + path);
-  const std::string payload = out.str();
-
-  std::ofstream file(path, std::ios::binary);
-  if (!file) return Status::IoError("cannot open " + path + " for writing");
-  file.write(kMagic, sizeof(kMagic));
-  WritePod<uint32_t>(file, kFormatVersion);
-  WritePod<uint64_t>(file, payload.size());
-  WritePod<uint32_t>(file, Crc32c(payload.data(), payload.size()));
-  file.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  if (!file) return Status::IoError("write error on " + path);
-  return Status::OK();
+  PutPod(out, config.similarity.lambda);
+  PutPod(out, config.similarity.epsilon);
+  PutPod(out, config.similarity.mu);
+  PutPod(out, config.similarity.min_similarity);
+  PutPod(out, config.similarity.max_similarity);
+  PutPod(out, config.similarity.initial_activeness);
+  PutPod(out, config.pyramid.num_pyramids);
+  PutPod(out, config.pyramid.theta);
+  PutPod(out, config.pyramid.seed);
+  PutPod(out, config.pyramid.num_threads);
+  PutU8(out, static_cast<uint8_t>(config.mode));
+  PutPod(out, config.rep);
+  PutPod(out, config.reinforce_interval);
 }
 
-Result<LoadedIndex> LoadIndex(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return Status::IoError("cannot open " + path);
+void PutReinforceAndTrees(std::string* out, const AncIndex& index) {
+  PutF64(out, index.last_reinforce_time());
+  PutVec(out, index.PendingReinforceEdges());
 
-  char magic[sizeof(kMagic)] = {};
-  file.read(magic, sizeof(magic));
-  if (!file || std::memcmp(magic, kMagicPrefix, sizeof(kMagicPrefix)) != 0) {
-    return Status::InvalidArgument(path + ": not an ANC index file");
+  // Pyramid partition trees, exact (including tie-breaks).
+  const std::vector<VoronoiPartition::TreeState> trees =
+      index.index().ExportTreeStates();
+  PutU64(out, trees.size());
+  for (const auto& tree : trees) {
+    PutVec(out, tree.seeds, tree.seed_of, tree.dist, tree.parent,
+           tree.parent_edge, tree.first_child, tree.next_sibling,
+           tree.prev_sibling);
   }
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument(
-        path + ": unsupported index format generation '" +
-        std::string(magic, sizeof(magic)) + "' (this build reads ANCIDX02)");
-  }
-  uint32_t version = 0;
-  uint64_t payload_bytes = 0;
-  uint32_t crc = 0;
-  if (!ReadPod(file, &version) || !ReadPod(file, &payload_bytes) ||
-      !ReadPod(file, &crc)) {
-    return Status::InvalidArgument(path + ": truncated index header");
-  }
-  if (version != kFormatVersion) {
-    return Status::InvalidArgument(path + ": index format version " +
-                                   std::to_string(version) +
-                                   " does not match this build's " +
-                                   std::to_string(kFormatVersion));
-  }
-  if (payload_bytes > kMaxPayloadBytes) {
-    return Status::InvalidArgument(path + ": implausible payload size");
-  }
-  std::string payload(payload_bytes, '\0');
-  file.read(payload.data(), static_cast<std::streamsize>(payload_bytes));
-  if (!file) {
-    return Status::InvalidArgument(path + ": truncated index payload");
-  }
-  if (Crc32c(payload.data(), payload.size()) != crc) {
-    return Status::InvalidArgument(path + ": index checksum mismatch "
-                                   "(file is corrupted)");
-  }
-  std::istringstream in(payload, std::ios::binary);
+}
 
-  // --- graph ---
+Result<std::unique_ptr<Graph>> ReadGraph(ByteReader* in,
+                                         const std::string& path) {
   uint32_t num_nodes = 0;
   std::vector<uint64_t> edges;
-  if (!ReadPod(in, &num_nodes) || !ReadVec(in, &edges, kMaxElements)) {
+  if (!in->Read(&num_nodes).ok() || !in->ReadVec(&edges).ok()) {
     return Status::IoError(path + ": truncated graph section");
   }
   GraphBuilder builder;
@@ -190,71 +79,123 @@ Result<LoadedIndex> LoadIndex(const std::string& path) {
   if (graph->NumNodes() != num_nodes || graph->NumEdges() != edges.size()) {
     return Status::InvalidArgument(path + ": inconsistent graph section");
   }
+  return graph;
+}
 
-  // --- configuration ---
-  AncConfig config;
+Status ReadConfig(ByteReader* in, const std::string& path,
+                  AncConfig* config) {
   uint8_t mode = 0;
-  bool ok = ReadPod(in, &config.similarity.lambda) &&
-            ReadPod(in, &config.similarity.epsilon) &&
-            ReadPod(in, &config.similarity.mu) &&
-            ReadPod(in, &config.similarity.min_similarity) &&
-            ReadPod(in, &config.similarity.max_similarity) &&
-            ReadPod(in, &config.similarity.initial_activeness) &&
-            ReadPod(in, &config.pyramid.num_pyramids) &&
-            ReadPod(in, &config.pyramid.theta) &&
-            ReadPod(in, &config.pyramid.seed) &&
-            ReadPod(in, &config.pyramid.num_threads) && ReadPod(in, &mode) &&
-            ReadPod(in, &config.rep) && ReadPod(in, &config.reinforce_interval);
-  if (!ok) return Status::IoError(path + ": truncated config section");
+  if (!in->Read(&config->similarity.lambda, &config->similarity.epsilon,
+                &config->similarity.mu, &config->similarity.min_similarity,
+                &config->similarity.max_similarity,
+                &config->similarity.initial_activeness,
+                &config->pyramid.num_pyramids, &config->pyramid.theta,
+                &config->pyramid.seed, &config->pyramid.num_threads, &mode,
+                &config->rep, &config->reinforce_interval)
+           .ok()) {
+    return Status::IoError(path + ": truncated config section");
+  }
   if (mode > static_cast<uint8_t>(AncMode::kOnlineReinforce)) {
     return Status::InvalidArgument(path + ": unknown mode byte");
   }
-  config.mode = static_cast<AncMode>(mode);
+  config->mode = static_cast<AncMode>(mode);
+  return Status::OK();
+}
 
-  // --- similarity state ---
+}  // namespace
+
+Status SaveIndexImage(const AncIndex& index, const std::string& path,
+                      const FrameFormat& format,
+                      const SimilarityStateWriter& similarity_state) {
+  std::string image;
+  const size_t begin = BeginFrame(&image, format);
+  PutGraphAndConfig(&image, index);
+  similarity_state(&image);
+  PutReinforceAndTrees(&image, index);
+  EndFrame(&image, format, begin);
+  return WriteFile(path, image);
+}
+
+Result<LoadedIndex> LoadIndexImage(
+    const std::string& path, const FrameFormat& format,
+    const SimilarityStateReader& similarity_state) {
+  std::string image;
+  if (!ReadFile(path, &image).ok()) {
+    return Status::IoError("cannot open " + path);
+  }
+  std::string_view payload;
+  const Status framed = DecodeFrame(format, image, &payload);
+  if (!framed.ok()) {
+    // A truncated file is as corrupt as a bit-flipped one.
+    return Status::InvalidArgument(path + ": " + framed.message());
+  }
+  ByteReader in(payload);
+
+  Result<std::unique_ptr<Graph>> graph = ReadGraph(&in, path);
+  if (!graph.ok()) return graph.status();
+  AncConfig config;
+  ANC_RETURN_NOT_OK(ReadConfig(&in, path, &config));
+
   SimilarityEngine::Snapshot snapshot;
-  ok = ReadPod(in, &snapshot.anchor_time) && ReadPod(in, &snapshot.last_time) &&
-       ReadVec(in, &snapshot.anchored_activeness, kMaxElements) &&
-       ReadVec(in, &snapshot.similarity, kMaxElements);
-  if (!ok) return Status::IoError(path + ": truncated similarity section");
+  ANC_RETURN_NOT_OK(similarity_state(&in, &snapshot));
 
-  // --- ANCOR interval bookkeeping ---
   double last_reinforce_time = 0.0;
   std::vector<EdgeId> pending_edges;
-  if (!ReadPod(in, &last_reinforce_time) ||
-      !ReadVec(in, &pending_edges, kMaxElements)) {
+  if (!in.Read(&last_reinforce_time).ok() ||
+      !in.ReadVec(&pending_edges).ok()) {
     return Status::IoError(path + ": truncated reinforce section");
   }
 
-  // --- pyramid partition trees ---
+  // Each tree is at least its eight u64 vector counts.
   uint64_t num_slots = 0;
-  if (!ReadPod(in, &num_slots) || num_slots > kMaxElements) {
+  if (!in.Read(&num_slots).ok() || num_slots > in.remaining() / 64) {
     return Status::IoError(path + ": truncated partition section");
   }
   std::vector<VoronoiPartition::TreeState> trees(num_slots);
   for (auto& tree : trees) {
-    if (!ReadVec(in, &tree.seeds, kMaxElements) ||
-        !ReadVec(in, &tree.seed_of, kMaxElements) ||
-        !ReadVec(in, &tree.dist, kMaxElements) ||
-        !ReadVec(in, &tree.parent, kMaxElements) ||
-        !ReadVec(in, &tree.parent_edge, kMaxElements) ||
-        !ReadVec(in, &tree.first_child, kMaxElements) ||
-        !ReadVec(in, &tree.next_sibling, kMaxElements) ||
-        !ReadVec(in, &tree.prev_sibling, kMaxElements)) {
+    if (!in.ReadVec(&tree.seeds, &tree.seed_of, &tree.dist, &tree.parent,
+                    &tree.parent_edge, &tree.first_child, &tree.next_sibling,
+                    &tree.prev_sibling)
+             .ok()) {
       return Status::IoError(path + ": truncated partition tree");
     }
   }
 
+  // FromSnapshot rebuilds sigma caches, partitions and votes from the
+  // materialized vectors, so every format loads byte-identically to a
+  // full snapshot of the same state.
   LoadedIndex loaded;
-  loaded.index =
-      AncIndex::FromSnapshot(*graph, config, snapshot, std::move(trees));
+  loaded.index = AncIndex::FromSnapshot(**graph, config, snapshot,
+                                        std::move(trees));
   if (loaded.index == nullptr) {
     return Status::InvalidArgument(path + ": state does not match graph");
   }
   loaded.index->RestoreReinforceState(last_reinforce_time,
                                       std::move(pending_edges));
-  loaded.graph = std::move(graph);
+  loaded.graph = std::move(*graph);
   return loaded;
+}
+
+Status SaveIndex(const AncIndex& index, const std::string& path) {
+  return SaveIndexImage(index, path, kIndexFrame, [&index](std::string* out) {
+    const SimilarityEngine::Snapshot state = index.engine().TakeSnapshot();
+    PutF64(out, state.anchor_time);
+    PutF64(out, state.last_time);
+    PutVec(out, state.anchored_activeness, state.similarity);
+  });
+}
+
+Result<LoadedIndex> LoadIndex(const std::string& path) {
+  return LoadIndexImage(
+      path, kIndexFrame,
+      [&path](ByteReader* in, SimilarityEngine::Snapshot* state) {
+        if (!in->Read(&state->anchor_time, &state->last_time).ok() ||
+            !in->ReadVec(&state->anchored_activeness, &state->similarity)
+                 .ok()) {
+          return Status::IoError(path + ": truncated similarity section");
+        }
+        return Status::OK();
+      });
 }
 
 }  // namespace anc

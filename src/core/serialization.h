@@ -1,10 +1,12 @@
 #ifndef ANC_CORE_SERIALIZATION_H_
 #define ANC_CORE_SERIALIZATION_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 
 #include "core/anc.h"
+#include "util/framed_record.h"
 #include "util/status.h"
 
 namespace anc {
@@ -27,6 +29,29 @@ struct LoadedIndex {
 /// Loads an index saved with SaveIndex. Fails with IoError on unreadable
 /// or truncated files and InvalidArgument on format/version mismatches.
 Result<LoadedIndex> LoadIndex(const std::string& path);
+
+/// Index images: one frame whose payload is the graph and configuration
+/// sections, then the similarity state, then the ANCOR reinforce
+/// bookkeeping and the pyramid partition trees (docs/durability.md
+/// "Framed records"). Only the similarity state differs between formats —
+/// ANCIDX02 stores it inline, the tiered head ANCTHD01 as page tables — so
+/// each format supplies just that section's writer and reader.
+using SimilarityStateWriter = std::function<void(std::string* out)>;
+using SimilarityStateReader =
+    std::function<Status(ByteReader* in, SimilarityEngine::Snapshot* state)>;
+
+/// Writes `index` as one `format` frame to `path` (no fsync — the store's
+/// checkpoint flow owns temp-file/fsync/rename).
+Status SaveIndexImage(const AncIndex& index, const std::string& path,
+                      const FrameFormat& format,
+                      const SimilarityStateWriter& similarity_state);
+
+/// Reads an image written by SaveIndexImage with the same `format`. The
+/// reader's status is returned as is; the shared sections fail with
+/// IoError when truncated and InvalidArgument when inconsistent.
+Result<LoadedIndex> LoadIndexImage(
+    const std::string& path, const FrameFormat& format,
+    const SimilarityStateReader& similarity_state);
 
 }  // namespace anc
 

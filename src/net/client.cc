@@ -1,6 +1,5 @@
 #include "net/client.h"
 
-#include <cstring>
 
 #include "net/socket.h"
 
@@ -42,13 +41,12 @@ Result<std::string> Client::Call(Op op, const std::string& body) {
   header.tenant_id = options_.tenant_id;
   header.op = op;
 
-  std::string payload;
-  payload.reserve(kRequestHeaderBytes + body.size());
-  AppendRequestHeader(&payload, header);
-  payload.append(body);
   std::string frame;
-  frame.reserve(kFrameHeaderBytes + payload.size());
-  AppendFrame(&frame, payload);
+  frame.reserve(kFrameHeaderBytes + kRequestHeaderBytes + body.size());
+  const size_t begin = BeginFrame(&frame, kRpcFrame);
+  AppendRequestHeader(&frame, header);
+  frame.append(body);
+  EndFrame(&frame, kRpcFrame, begin);
 
   Status status = SendAll(fd_, frame.data(), frame.size());
   if (!status.ok()) {
@@ -59,34 +57,21 @@ Result<std::string> Client::Call(Op op, const std::string& body) {
   // Response: read the fixed header to learn the length, then the payload,
   // then validate the assembled frame (magic / bound / CRC) with the same
   // decoder the server and fuzzer use.
-  uint8_t head[kFrameHeaderBytes];
-  status = RecvAll(fd_, head, sizeof(head));
-  if (!status.ok()) {
-    broken_ = true;
-    return status;
+  std::string buffer(kFrameHeaderBytes, '\0');
+  status = RecvAll(fd_, buffer.data(), buffer.size());
+  size_t frame_bytes = 0;
+  if (status.ok()) {
+    status = FrameSize(kRpcFrame, buffer, &frame_bytes);
   }
-  if (std::memcmp(head, kFrameMagic, sizeof(kFrameMagic)) != 0) {
-    broken_ = true;
-    return Status::InvalidArgument("response frame has bad magic");
-  }
-  uint32_t length = 0;
-  std::memcpy(&length, head + sizeof(kFrameMagic), sizeof(length));
-  if (length == 0 || length > kMaxFramePayloadBytes) {
-    broken_ = true;
-    return Status::InvalidArgument("response frame length " +
-                                   std::to_string(length) + " out of bounds");
-  }
-  std::string buffer(reinterpret_cast<const char*>(head), sizeof(head));
-  buffer.resize(kFrameHeaderBytes + length);
-  status = RecvAll(fd_, buffer.data() + kFrameHeaderBytes, length);
-  if (!status.ok()) {
-    broken_ = true;
-    return status;
+  if (status.ok()) {
+    buffer.resize(frame_bytes);
+    status = RecvAll(fd_, buffer.data() + kFrameHeaderBytes,
+                     frame_bytes - kFrameHeaderBytes);
   }
   std::string_view payload_view;
-  size_t consumed = 0;
-  status = DecodeFrame(reinterpret_cast<const uint8_t*>(buffer.data()),
-                       buffer.size(), &payload_view, &consumed);
+  if (status.ok()) {
+    status = anc::DecodeFrame(kRpcFrame, buffer, &payload_view);
+  }
   if (!status.ok()) {
     broken_ = true;
     return status;

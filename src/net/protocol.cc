@@ -1,25 +1,8 @@
 #include "net/protocol.h"
 
-#include <cstring>
-
-#include "util/crc32c.h"
-
 namespace anc::net {
 
 namespace {
-
-template <typename T>
-void AppendPod(std::string* out, const T& value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-Status ReadPodChecked(ByteReader* in, T* out) {
-  std::string_view bytes;
-  ANC_RETURN_NOT_OK(in->ReadBytes(sizeof(T), &bytes));
-  std::memcpy(out, bytes.data(), sizeof(T));
-  return Status::OK();
-}
 
 /// Validates a wire element count against the bytes actually present, so a
 /// forged count can never drive an allocation beyond the payload size.
@@ -58,66 +41,6 @@ const char* OpName(Op op) {
     case Op::kPullLog: return "pull_log";
   }
   return "unknown";
-}
-
-// --- ByteReader -------------------------------------------------------------
-
-Status ByteReader::ReadBytes(size_t count, std::string_view* out) {
-  if (size_ - pos_ < count) {
-    return Status::InvalidArgument("payload truncated");
-  }
-  *out = std::string_view(reinterpret_cast<const char*>(data_ + pos_), count);
-  pos_ += count;
-  return Status::OK();
-}
-
-Status ByteReader::ReadU16(uint16_t* out) { return ReadPodChecked(this, out); }
-Status ByteReader::ReadU32(uint32_t* out) { return ReadPodChecked(this, out); }
-Status ByteReader::ReadU64(uint64_t* out) { return ReadPodChecked(this, out); }
-Status ByteReader::ReadI32(int32_t* out) { return ReadPodChecked(this, out); }
-Status ByteReader::ReadF64(double* out) { return ReadPodChecked(this, out); }
-
-void PutU16(std::string* out, uint16_t v) { AppendPod(out, v); }
-void PutU32(std::string* out, uint32_t v) { AppendPod(out, v); }
-void PutU64(std::string* out, uint64_t v) { AppendPod(out, v); }
-void PutI32(std::string* out, int32_t v) { AppendPod(out, v); }
-void PutF64(std::string* out, double v) { AppendPod(out, v); }
-
-// --- Framing ---------------------------------------------------------------
-
-void AppendFrame(std::string* out, std::string_view payload) {
-  out->append(kFrameMagic, sizeof(kFrameMagic));
-  PutU32(out, static_cast<uint32_t>(payload.size()));
-  PutU32(out, Crc32c(payload.data(), payload.size()));
-  out->append(payload);
-}
-
-Status DecodeFrame(const uint8_t* data, size_t size, std::string_view* payload,
-                   size_t* consumed) {
-  if (size < kFrameHeaderBytes) {
-    return Status::OutOfRange("frame: short header");
-  }
-  if (std::memcmp(data, kFrameMagic, sizeof(kFrameMagic)) != 0) {
-    return Status::InvalidArgument("frame: bad magic");
-  }
-  uint32_t length = 0;
-  uint32_t crc = 0;
-  std::memcpy(&length, data + 4, sizeof(length));
-  std::memcpy(&crc, data + 8, sizeof(crc));
-  if (length > kMaxFramePayloadBytes) {
-    return Status::InvalidArgument("frame: oversized payload (" +
-                                   std::to_string(length) + " bytes)");
-  }
-  if (size - kFrameHeaderBytes < length) {
-    return Status::OutOfRange("frame: short payload");
-  }
-  const char* body = reinterpret_cast<const char*>(data + kFrameHeaderBytes);
-  if (Crc32c(body, length) != crc) {
-    return Status::InvalidArgument("frame: CRC mismatch");
-  }
-  *payload = std::string_view(body, length);
-  if (consumed != nullptr) *consumed = kFrameHeaderBytes + length;
-  return Status::OK();
 }
 
 // --- Envelope --------------------------------------------------------------

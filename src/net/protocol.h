@@ -8,6 +8,7 @@
 
 #include "activation/activeness.h"
 #include "graph/graph.h"
+#include "util/framed_record.h"
 #include "util/status.h"
 
 namespace anc::net {
@@ -22,10 +23,11 @@ namespace anc::net {
 ///   Response: payload = [u64 request_id][u16 op][u16 flags][i32 code]
 ///             [body on OK | status message bytes on error]
 ///
-/// The frame decoder follows the PR 7 parser discipline: every length is
-/// validated before allocation (kMaxFramePayloadBytes guard), the CRC is
-/// checked before any field is read, and malformed input of any shape
-/// yields a Status — never a crash, hang or unbounded allocation
+/// Frames and payload fields go through the shared codec
+/// (util/framed_record.h, docs/durability.md "Framed records"): every
+/// length is validated before allocation (kMaxFramePayloadBytes guard), the
+/// CRC is checked before any field is read, and malformed input of any
+/// shape yields a Status — never a crash, hang or unbounded allocation
 /// (fuzz/fuzz_rpc.cc holds the line).
 inline constexpr char kFrameMagic[4] = {'A', 'N', 'C', 'R'};
 inline constexpr size_t kFrameHeaderBytes = 12;  // magic + len + crc
@@ -33,6 +35,9 @@ inline constexpr size_t kFrameHeaderBytes = 12;  // magic + len + crc
 /// allocated. Sized for the largest legitimate payload (a full Clusters
 /// response over a multi-million-node graph).
 inline constexpr uint32_t kMaxFramePayloadBytes = 64u << 20;
+inline constexpr FrameFormat kRpcFrame{
+    std::string_view(kFrameMagic, sizeof(kFrameMagic)), 4,
+    kMaxFramePayloadBytes};
 
 /// RPC operations. Values are wire format — append only, never renumber.
 enum class Op : uint16_t {
@@ -76,52 +81,30 @@ struct ResponseHeader {
 };
 inline constexpr size_t kResponseHeaderBytes = 16;
 
-// --- Bounds-checked byte cursor -------------------------------------------
+// --- Bytes and framing -----------------------------------------------------
 
-/// Sequential reader over untrusted bytes: every read validates remaining
-/// length first and fails with InvalidArgument instead of reading past the
-/// end. The payload buffer must outlive views handed out by ReadBytes.
-class ByteReader {
- public:
-  ByteReader(const void* data, size_t size)
-      : data_(static_cast<const uint8_t*>(data)), size_(size) {}
-  explicit ByteReader(std::string_view bytes)
-      : ByteReader(bytes.data(), bytes.size()) {}
+using anc::ByteReader;
+using anc::PutF64;
+using anc::PutI32;
+using anc::PutU16;
+using anc::PutU32;
+using anc::PutU64;
 
-  size_t remaining() const { return size_ - pos_; }
-  bool empty() const { return pos_ == size_; }
+/// Wraps `payload` in an ANCR frame, appended to *out.
+inline void AppendFrame(std::string* out, std::string_view payload) {
+  anc::AppendFrame(out, kRpcFrame, payload);
+}
 
-  Status ReadU16(uint16_t* out);
-  Status ReadU32(uint32_t* out);
-  Status ReadU64(uint64_t* out);
-  Status ReadI32(int32_t* out);
-  Status ReadF64(double* out);
-  Status ReadBytes(size_t count, std::string_view* out);
-
- private:
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
-
-// Little-endian append helpers (the writer side needs no bounds checks).
-void PutU16(std::string* out, uint16_t v);
-void PutU32(std::string* out, uint32_t v);
-void PutU64(std::string* out, uint64_t v);
-void PutI32(std::string* out, int32_t v);
-void PutF64(std::string* out, double v);
-
-// --- Framing ---------------------------------------------------------------
-
-/// Wraps `payload` in a CRC frame, appended to *out.
-void AppendFrame(std::string* out, std::string_view payload);
-
-/// Decodes one frame from the front of `data`: on OK, *payload views into
-/// `data` and *consumed advances past the frame. InvalidArgument on bad
-/// magic / oversized length / CRC mismatch; OutOfRange when the buffer
-/// holds only a prefix of a frame (read more bytes and retry).
-Status DecodeFrame(const uint8_t* data, size_t size, std::string_view* payload,
-                   size_t* consumed);
+/// Decodes one ANCR frame from the front of `data` (anc::DecodeFrame):
+/// *payload views into `data`. InvalidArgument on bad magic / oversized
+/// length / CRC mismatch; OutOfRange when the buffer holds only a prefix
+/// of a frame (read more bytes and retry).
+inline Status DecodeFrame(const uint8_t* data, size_t size,
+                          std::string_view* payload, size_t* consumed) {
+  return anc::DecodeFrame(
+      kRpcFrame, std::string_view(reinterpret_cast<const char*>(data), size),
+      payload, consumed);
+}
 
 // --- Envelope --------------------------------------------------------------
 

@@ -155,26 +155,20 @@ void NetServer::ServeConn(int fd) {
   }
   std::string buffer;
   while (!stop_.load(std::memory_order_acquire)) {
-    uint8_t head[kFrameHeaderBytes];
-    Status status = RecvAll(fd, head, sizeof(head));
+    buffer.resize(kFrameHeaderBytes);
+    Status status = RecvAll(fd, buffer.data(), buffer.size());
     if (!status.ok()) break;  // EOF, timeout or shutdown
-    if (std::memcmp(head, kFrameMagic, sizeof(kFrameMagic)) != 0) {
+    size_t frame_bytes = 0;
+    if (!FrameSize(kRpcFrame, buffer, &frame_bytes).ok()) {
       registry_.Add(bad_frames_id_);
-      break;  // the stream is desynchronized beyond recovery
+      break;  // bad magic or length: the stream is desynchronized
     }
-    uint32_t length = 0;
-    std::memcpy(&length, head + sizeof(kFrameMagic), sizeof(length));
-    if (length == 0 || length > kMaxFramePayloadBytes) {
-      registry_.Add(bad_frames_id_);
-      break;
-    }
-    buffer.assign(reinterpret_cast<const char*>(head), sizeof(head));
-    buffer.resize(kFrameHeaderBytes + length);
-    status = RecvAll(fd, buffer.data() + kFrameHeaderBytes, length);
+    buffer.resize(frame_bytes);
+    status = RecvAll(fd, buffer.data() + kFrameHeaderBytes,
+                     frame_bytes - kFrameHeaderBytes);
     if (!status.ok()) break;
     std::string_view payload;
-    status = DecodeFrame(reinterpret_cast<const uint8_t*>(buffer.data()),
-                         buffer.size(), &payload, nullptr);
+    status = anc::DecodeFrame(kRpcFrame, buffer, &payload);
     if (!status.ok()) {
       registry_.Add(bad_frames_id_);
       break;  // CRC mismatch: bytes on the wire cannot be trusted
@@ -235,11 +229,10 @@ bool NetServer::HandleRequest(std::string_view payload, std::string* out) {
         if (cache_.Get(epoch, header.op, cache_args, &body) &&
             CachedCoversBarrier(body, min_seq)) {
           response.flags |= kFlagCacheHit;
+          const size_t begin = BeginFrame(out, kRpcFrame);
           AppendResponseHeader(out, response);
           out->append(body);
-          std::string frame;
-          AppendFrame(&frame, *out);
-          out->swap(frame);
+          EndFrame(out, kRpcFrame, begin);
           return true;
         }
         body.clear();
@@ -256,11 +249,11 @@ bool NetServer::HandleRequest(std::string_view payload, std::string* out) {
     response.code = status.code();
     body = status.message();
   }
-  std::string inner;
-  inner.reserve(kResponseHeaderBytes + body.size());
-  AppendResponseHeader(&inner, response);
-  inner.append(body);
-  AppendFrame(out, inner);
+  out->reserve(kFrameHeaderBytes + kResponseHeaderBytes + body.size());
+  const size_t begin = BeginFrame(out, kRpcFrame);
+  AppendResponseHeader(out, response);
+  out->append(body);
+  EndFrame(out, kRpcFrame, begin);
   return true;
 }
 

@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <system_error>
 #include <utility>
 
-#include "store/wal.h"
-#include "util/crc32c.h"
+#include "util/atomic_file.h"
+#include "util/framed_record.h"
 
 namespace anc::rebalance {
 
@@ -21,93 +20,51 @@ constexpr const char* kJournalName = "migration.journal";
 constexpr const char* kSidecarPrefix = "migrate-";
 constexpr const char* kImportArchivePrefix = "import-";
 
-template <typename T>
-void AppendPod(std::string* out, T value) {
-  char bytes[sizeof(T)];
-  std::memcpy(bytes, &value, sizeof(T));
-  out->append(bytes, sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(const uint8_t* data, size_t size, size_t* offset, T* value) {
-  if (size - *offset < sizeof(T)) return false;
-  std::memcpy(value, data + *offset, sizeof(T));
-  *offset += sizeof(T);
-  return true;
-}
-
-struct ScopedFile {
-  std::FILE* file = nullptr;
-  ~ScopedFile() {
-    if (file != nullptr) std::fclose(file);
-  }
-};
+constexpr FrameFormat kJournalFrame{
+    std::string_view(kJournalMagic, sizeof(kJournalMagic)), 4,
+    kMaxJournalPayloadBytes};
 
 }  // namespace
 
 void EncodeJournal(const MigrationJournal& journal, std::string* out) {
-  std::string payload;
-  AppendPod(&payload, journal.id);
-  AppendPod(&payload, journal.from);
-  AppendPod(&payload, journal.to);
-  AppendPod(&payload, journal.s_a);
-  AppendPod(&payload, journal.s_b);
-  AppendPod(&payload, journal.g0);
-  AppendPod(&payload, static_cast<uint8_t>(journal.phase));
-  AppendPod(&payload, static_cast<uint32_t>(journal.moving.size()));
-  for (const NodeId node : journal.moving) AppendPod(&payload, node);
-
-  out->append(kJournalMagic, sizeof(kJournalMagic));
-  AppendPod(out, static_cast<uint32_t>(payload.size()));
-  AppendPod(out, Crc32c(payload.data(), payload.size()));
-  out->append(payload);
+  const size_t begin = BeginFrame(out, kJournalFrame);
+  PutPod(out, journal.id);
+  PutPod(out, journal.from);
+  PutPod(out, journal.to);
+  PutPod(out, journal.s_a);
+  PutPod(out, journal.s_b);
+  PutPod(out, journal.g0);
+  PutU8(out, static_cast<uint8_t>(journal.phase));
+  PutU32(out, static_cast<uint32_t>(journal.moving.size()));
+  for (const NodeId node : journal.moving) PutPod(out, node);
+  EndFrame(out, kJournalFrame, begin);
 }
 
 Result<MigrationJournal> DecodeJournal(const uint8_t* data, size_t size) {
-  if (size < sizeof(kJournalMagic) + 8) {
-    return Status::InvalidArgument("journal: short header");
-  }
-  if (std::memcmp(data, kJournalMagic, sizeof(kJournalMagic)) != 0) {
-    return Status::InvalidArgument("journal: bad magic");
-  }
-  size_t offset = sizeof(kJournalMagic);
-  uint32_t length = 0;
-  uint32_t crc = 0;
-  ReadPod(data, size, &offset, &length);
-  ReadPod(data, size, &offset, &crc);
-  if (length > kMaxJournalPayloadBytes || size - offset < length) {
-    return Status::InvalidArgument("journal: implausible payload length");
-  }
-  const uint8_t* payload = data + offset;
-  if (Crc32c(payload, length) != crc) {
-    return Status::InvalidArgument("journal: checksum mismatch");
-  }
+  std::string_view payload;
+  const Status framed = DecodeFrame(
+      kJournalFrame, std::string_view(reinterpret_cast<const char*>(data), size),
+      &payload);
+  if (!framed.ok()) return Status::InvalidArgument("journal: " + framed.message());
 
   MigrationJournal journal;
-  size_t at = 0;
+  ByteReader in(payload);
   uint8_t phase = 0;
   uint32_t count = 0;
-  if (!ReadPod(payload, length, &at, &journal.id) ||
-      !ReadPod(payload, length, &at, &journal.from) ||
-      !ReadPod(payload, length, &at, &journal.to) ||
-      !ReadPod(payload, length, &at, &journal.s_a) ||
-      !ReadPod(payload, length, &at, &journal.s_b) ||
-      !ReadPod(payload, length, &at, &journal.g0) ||
-      !ReadPod(payload, length, &at, &phase) ||
-      !ReadPod(payload, length, &at, &count)) {
+  if (!in.Read(&journal.id, &journal.from, &journal.to, &journal.s_a,
+               &journal.s_b, &journal.g0, &phase, &count)
+           .ok()) {
     return Status::InvalidArgument("journal: truncated payload");
   }
   if (phase > static_cast<uint8_t>(MigrationPhase::kCommitted)) {
     return Status::InvalidArgument("journal: unknown phase");
   }
   journal.phase = static_cast<MigrationPhase>(phase);
-  if (size_t{count} * 4 != length - at) {
+  if (size_t{count} * sizeof(NodeId) != in.remaining()) {
     return Status::InvalidArgument("journal: inconsistent vertex count");
   }
   journal.moving.resize(count);
-  if (count > 0) {
-    std::memcpy(journal.moving.data(), payload + at, size_t{count} * 4);
-  }
+  for (NodeId& node : journal.moving) (void)in.Read(&node);  // sized above
   return journal;
 }
 
@@ -125,42 +82,13 @@ Status WriteJournal(const std::string& dir, const MigrationJournal& journal) {
   std::string image;
   EncodeJournal(journal, &image);
   const std::string path = JournalPath(dir);
-  const std::string tmp = path + ".tmp";
-  {
-    ScopedFile out;
-    out.file = std::fopen(tmp.c_str(), "wb");
-    if (out.file == nullptr) {
-      return Status::IoError("cannot write " + tmp);
-    }
-    if (std::fwrite(image.data(), 1, image.size(), out.file) != image.size() ||
-        std::fflush(out.file) != 0) {
-      return Status::IoError("short write to " + tmp);
-    }
-  }
-  ANC_RETURN_NOT_OK(store::FsyncFile(tmp));
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) return Status::IoError("cannot rename " + tmp);
-  return store::FsyncDir(dir);
+  return AtomicReplace(path, path + ".tmp", image);
 }
 
 Result<MigrationJournal> ReadJournal(const std::string& dir) {
   const std::string path = JournalPath(dir);
-  ScopedFile in;
-  in.file = std::fopen(path.c_str(), "rb");
-  if (in.file == nullptr) {
-    return Status::NotFound("no " + path);
-  }
   std::string image;
-  char buffer[4096];
-  size_t got = 0;
-  while ((got = std::fread(buffer, 1, sizeof(buffer), in.file)) > 0) {
-    image.append(buffer, got);
-    if (image.size() >
-        sizeof(kJournalMagic) + 8 + size_t{kMaxJournalPayloadBytes}) {
-      return Status::IoError(path + ": implausibly large journal");
-    }
-  }
+  if (!ReadFile(path, &image).ok()) return Status::NotFound("no " + path);
   Result<MigrationJournal> journal = DecodeJournal(
       reinterpret_cast<const uint8_t*>(image.data()), image.size());
   if (!journal.ok()) {

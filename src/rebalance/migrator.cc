@@ -11,6 +11,7 @@
 #include "store/store.h"
 #include "store/test_hooks.h"
 #include "store/wal.h"
+#include "util/atomic_file.h"
 
 namespace anc::rebalance {
 
@@ -395,7 +396,7 @@ Status Migrator::Migrate(const std::vector<NodeId>& moving, uint32_t to) {
   std::error_code ec;
   fs::remove(JournalPath(dir), ec);
   // Best-effort durability of the delete; see the benign-failure note above.
-  if (!ec) (void)store::FsyncDir(dir);
+  if (!ec) (void)FsyncDir(dir);
   const std::string to_dir =
       (fs::path(dir) / ("shard-" + std::to_string(to))).string();
   for (const int stage : {0, 1}) {

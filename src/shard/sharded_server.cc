@@ -1,15 +1,15 @@
 #include "shard/sharded_server.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <system_error>
 #include <utility>
 
 #include "rebalance/journal.h"
 #include "store/test_hooks.h"
+#include "util/atomic_file.h"
 #include "util/crc32c.h"
+#include "util/framed_record.h"
 
 namespace anc::shard {
 
@@ -18,17 +18,11 @@ namespace fs = std::filesystem;
 namespace {
 
 /// shards.meta layout: magic, shard count, graph shape, the node → shard
-/// assignment, CRC32C over everything after the magic. Written atomically
-/// (temp + rename) so RecoverAll never reads a torn partition.
+/// assignment, CRC32C over everything after the magic. Written through the
+/// shared atomic replace (temp + fsync + rename + directory fsync) so
+/// RecoverAll never reads a torn or lost partition.
 constexpr char kMetaMagic[8] = {'A', 'N', 'C', 'S', 'H', 'R', 'D', '1'};
 constexpr const char* kMetaName = "shards.meta";
-
-struct ScopedFile {
-  std::FILE* file = nullptr;
-  ~ScopedFile() {
-    if (file != nullptr) std::fclose(file);
-  }
-};
 
 Status RemainingBudget(std::chrono::steady_clock::time_point deadline,
                        std::chrono::milliseconds* remaining) {
@@ -290,87 +284,58 @@ PartitionStats ShardedServer::partition_stats() const {
 Status ShardedServer::WriteMeta() const {
   const std::shared_ptr<const Router> router = this->router();
   const Partition& partition = router->partition();
-  std::vector<char> payload;
-  const auto append_u32 = [&payload](uint32_t value) {
-    char bytes[4];
-    std::memcpy(bytes, &value, 4);
-    payload.insert(payload.end(), bytes, bytes + 4);
-  };
-  append_u32(partition.num_shards);
-  append_u32(graph_->NumNodes());
-  append_u32(graph_->NumEdges());
-  for (const uint32_t s : partition.node_shard) append_u32(s);
-  const uint32_t crc = Crc32c(payload.data(), payload.size());
-
-  const fs::path path = fs::path(options_.store_dir) / kMetaName;
-  const fs::path tmp = path.string() + ".tmp";
-  {
-    ScopedFile out;
-    out.file = std::fopen(tmp.c_str(), "wb");
-    if (out.file == nullptr) {
-      return Status::IoError("cannot write " + tmp.string());
-    }
-    if (std::fwrite(kMetaMagic, 1, sizeof(kMetaMagic), out.file) !=
-            sizeof(kMetaMagic) ||
-        std::fwrite(payload.data(), 1, payload.size(), out.file) !=
-            payload.size() ||
-        std::fwrite(&crc, 1, 4, out.file) != 4 ||
-        std::fflush(out.file) != 0) {
-      return Status::IoError("short write to " + tmp.string());
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) return Status::IoError("cannot rename " + tmp.string());
-  return Status::OK();
+  std::string image(kMetaMagic, sizeof(kMetaMagic));
+  PutU32(&image, partition.num_shards);
+  PutU32(&image, graph_->NumNodes());
+  PutU32(&image, graph_->NumEdges());
+  for (const uint32_t s : partition.node_shard) PutU32(&image, s);
+  PutU32(&image, Crc32c(image.data() + sizeof(kMetaMagic),
+                        image.size() - sizeof(kMetaMagic)));
+  const std::string path = (fs::path(options_.store_dir) / kMetaName).string();
+  return AtomicReplace(path, path + ".tmp", image);
 }
 
 Result<std::pair<Partition, uint32_t>> ShardedServer::ReadMeta(
     const std::string& dir) {
-  const fs::path path = fs::path(dir) / kMetaName;
-  ScopedFile in;
-  in.file = std::fopen(path.c_str(), "rb");
-  if (in.file == nullptr) {
-    return Status::NotFound("no " + path.string());
+  const std::string path = (fs::path(dir) / kMetaName).string();
+  std::string image;
+  if (!ReadFile(path, &image).ok()) return Status::NotFound("no " + path);
+  ByteReader in(image);
+  std::string_view magic;
+  if (!in.ReadBytes(sizeof(kMetaMagic), &magic).ok() ||
+      magic != std::string_view(kMetaMagic, sizeof(kMetaMagic))) {
+    return Status::IoError(path + ": bad magic");
   }
-  char magic[sizeof(kMetaMagic)];
-  if (std::fread(magic, 1, sizeof(magic), in.file) != sizeof(magic) ||
-      std::memcmp(magic, kMetaMagic, sizeof(magic)) != 0) {
-    return Status::IoError(path.string() + ": bad magic");
+  uint32_t num_shards = 0;
+  uint32_t num_nodes = 0;
+  uint32_t num_edges = 0;
+  if (!in.Read(&num_shards, &num_nodes, &num_edges).ok()) {
+    return Status::IoError(path + ": truncated header");
   }
-  uint32_t header[3];  // num_shards, num_nodes, num_edges
-  if (std::fread(header, 1, sizeof(header), in.file) != sizeof(header)) {
-    return Status::IoError(path.string() + ": truncated header");
-  }
-  const uint32_t num_shards = header[0];
-  const uint32_t num_nodes = header[1];
   if (num_shards == 0 || num_shards > (1u << 20) ||
       num_nodes > (1u << 28)) {
-    return Status::IoError(path.string() + ": implausible header");
+    return Status::IoError(path + ": implausible header");
+  }
+  if (in.remaining() < uint64_t{num_nodes} * 4) {
+    return Status::IoError(path + ": truncated assignment");
   }
   std::vector<uint32_t> assignment(num_nodes);
-  if (num_nodes > 0 &&
-      std::fread(assignment.data(), 4, num_nodes, in.file) != num_nodes) {
-    return Status::IoError(path.string() + ": truncated assignment");
-  }
+  for (uint32_t& s : assignment) (void)in.Read(&s);  // length checked above
   uint32_t crc = 0;
-  if (std::fread(&crc, 1, 4, in.file) != 4) {
-    return Status::IoError(path.string() + ": missing checksum");
-  }
-  uint32_t expected = Crc32c(header, sizeof(header));
-  expected = Crc32c(assignment.data(), size_t{num_nodes} * 4, expected);
-  if (crc != expected) {
-    return Status::IoError(path.string() + ": checksum mismatch");
+  if (!in.Read(&crc).ok()) return Status::IoError(path + ": missing checksum");
+  const size_t covered = 3 * sizeof(uint32_t) + size_t{num_nodes} * 4;
+  if (crc != Crc32c(image.data() + sizeof(kMetaMagic), covered)) {
+    return Status::IoError(path + ": checksum mismatch");
   }
   for (const uint32_t s : assignment) {
     if (s >= num_shards) {
-      return Status::IoError(path.string() + ": assignment names bad shard");
+      return Status::IoError(path + ": assignment names bad shard");
     }
   }
   Partition partition;
   partition.num_shards = num_shards;
   partition.node_shard = std::move(assignment);
-  return std::make_pair(std::move(partition), header[2]);
+  return std::make_pair(std::move(partition), num_edges);
 }
 
 Status ShardedServer::Start() {

@@ -4,12 +4,11 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 
-#include "util/crc32c.h"
 #include "store/test_hooks.h"
+#include "util/atomic_file.h"
+#include "util/framed_record.h"
 
 namespace anc::store {
 
@@ -20,8 +19,9 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr char kManifestMagic[8] = {'A', 'N', 'C', 'M', 'A', 'N', '0', '1'};
+constexpr FrameFormat kManifestFrame{
+    std::string_view(kManifestMagic, sizeof(kManifestMagic)), 4, 1u << 20};
 constexpr char kManifestName[] = "MANIFEST";
-constexpr uint32_t kMaxManifestBytes = 1u << 20;
 
 double MicrosSince(Clock::time_point t) {
   return std::chrono::duration<double, std::micro>(Clock::now() - t).count();
@@ -54,42 +54,6 @@ bool ParseCheckpointName(const std::string& name, uint64_t* generation,
          name == CheckpointName(*generation, *seq);
 }
 
-template <typename T>
-void AppendPod(std::string* out, const T& value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-void AppendString(std::string* out, const std::string& value) {
-  AppendPod(out, static_cast<uint32_t>(value.size()));
-  out->append(value);
-}
-
-/// Bounds-checked cursor over a manifest payload.
-class PayloadReader {
- public:
-  explicit PayloadReader(const std::string& data) : data_(data) {}
-
-  template <typename T>
-  bool Read(T* value) {
-    if (pos_ + sizeof(T) > data_.size()) return false;
-    std::memcpy(value, data_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return true;
-  }
-
-  bool ReadString(std::string* value) {
-    uint32_t length = 0;
-    if (!Read(&length) || pos_ + length > data_.size()) return false;
-    value->assign(data_.data() + pos_, length);
-    pos_ += length;
-    return true;
-  }
-
- private:
-  const std::string& data_;
-  size_t pos_ = 0;
-};
-
 struct ManifestData {
   uint64_t generation = 0;
   Mark mark;
@@ -98,41 +62,32 @@ struct ManifestData {
 };
 
 Result<ManifestData> ReadManifestFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open manifest " + path);
-  char header[16];
-  in.read(header, sizeof(header));
-  if (!in || std::memcmp(header, kManifestMagic, sizeof(kManifestMagic)) != 0) {
-    return Status::InvalidArgument(path + ": not a store manifest");
-  }
-  uint32_t length = 0;
-  uint32_t crc = 0;
-  std::memcpy(&length, header + 8, sizeof(length));
-  std::memcpy(&crc, header + 12, sizeof(crc));
-  if (length == 0 || length > kMaxManifestBytes) {
-    return Status::InvalidArgument(path + ": implausible manifest size");
-  }
-  std::string payload(length, '\0');
-  in.read(payload.data(), length);
-  if (!in) return Status::InvalidArgument(path + ": truncated manifest");
-  if (Crc32c(payload.data(), payload.size()) != crc) {
-    return Status::InvalidArgument(path + ": manifest checksum mismatch");
+  std::string file;
+  const Status read = ReadFile(path, &file);
+  if (!read.ok()) return Status::IoError("cannot open manifest " + path);
+  std::string_view payload;
+  const Status framed = DecodeFrame(kManifestFrame, file, &payload);
+  if (!framed.ok()) {
+    return Status::InvalidArgument(path + ": " + framed.message());
   }
 
   ManifestData data;
-  PayloadReader reader(payload);
-  uint32_t num_segments = 0;
-  if (!reader.Read(&data.generation) || !reader.Read(&data.mark.seq) ||
-      !reader.Read(&data.mark.time) ||
-      !reader.ReadString(&data.checkpoint_file) ||
-      !reader.Read(&num_segments) || num_segments > 1u << 16) {
-    return Status::InvalidArgument(path + ": malformed manifest payload");
-  }
-  data.segments.resize(num_segments);
-  for (std::string& segment : data.segments) {
-    if (!reader.ReadString(&segment)) {
-      return Status::InvalidArgument(path + ": malformed manifest payload");
+  ByteReader in(payload);
+  const auto parse = [&in, &data]() -> Status {
+    uint32_t num_segments = 0;
+    ANC_RETURN_NOT_OK(
+        in.Read(&data.generation, &data.mark.seq, &data.mark.time));
+    ANC_RETURN_NOT_OK(in.ReadString32(&data.checkpoint_file));
+    ANC_RETURN_NOT_OK(in.Read(&num_segments));
+    if (num_segments > 1u << 16) return Status::InvalidArgument("segments");
+    data.segments.resize(num_segments);
+    for (std::string& segment : data.segments) {
+      ANC_RETURN_NOT_OK(in.ReadString32(&segment));
     }
+    return Status::OK();
+  };
+  if (!parse().ok()) {
+    return Status::InvalidArgument(path + ": malformed manifest payload");
   }
   return data;
 }
@@ -357,45 +312,35 @@ Status DurableStore::RotateSegmentLocked(uint64_t base_seq) {
 
 Status DurableStore::WriteManifestLocked(const std::string& checkpoint_file,
                                          Mark at) {
-  std::string payload;
-  AppendPod(&payload, generation_);
-  AppendPod(&payload, at.seq);
-  AppendPod(&payload, at.time);
-  AppendString(&payload, checkpoint_file);
-  AppendPod(&payload, static_cast<uint32_t>(1));
-  AppendString(&payload,
-               wal_ != nullptr ? fs::path(wal_->path()).filename().string()
-                               : std::string());
-
   std::string framed;
-  framed.append(kManifestMagic, sizeof(kManifestMagic));
-  AppendPod(&framed, static_cast<uint32_t>(payload.size()));
-  AppendPod(&framed, Crc32c(payload.data(), payload.size()));
-  framed.append(payload);
+  const size_t begin = BeginFrame(&framed, kManifestFrame);
+  PutU64(&framed, generation_);
+  PutU64(&framed, at.seq);
+  PutF64(&framed, at.time);
+  PutString32(&framed, checkpoint_file);
+  PutU32(&framed, 1);
+  PutString32(&framed, wal_ != nullptr
+                           ? fs::path(wal_->path()).filename().string()
+                           : std::string());
+  EndFrame(&framed, kManifestFrame, begin);
 
   const std::string manifest = dir_ + "/" + kManifestName;
-  const std::string tmp = manifest + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out.write(framed.data(), static_cast<std::streamsize>(framed.size()));
-    if (!out) return Status::IoError("cannot write " + tmp);
-  }
-  ANC_RETURN_NOT_OK(FsyncFile(tmp));
-
-  if (TestHooks::ShouldCrash(CrashPoint::kPreManifestSwap)) {
-    // The new checkpoint and MANIFEST.tmp are durable, but the swap never
-    // happens: the previous manifest generation still rules recovery.
-    crashed_ = true;
-    return Status::Unavailable(std::string("simulated crash at ") +
-                               CrashPointName(CrashPoint::kPreManifestSwap));
-  }
-
-  std::error_code ec;
-  fs::rename(tmp, manifest, ec);
-  if (ec) {
-    return Status::IoError("cannot swap manifest: " + ec.message());
-  }
-  return FsyncDir(dir_);
+  bool crashed = false;
+  const Status status =
+      AtomicReplace(manifest, manifest + ".tmp", framed, [&crashed] {
+        if (!TestHooks::ShouldCrash(CrashPoint::kPreManifestSwap)) {
+          return Status::OK();
+        }
+        // The new checkpoint and MANIFEST.tmp are durable, but the swap
+        // never happens: the previous manifest generation still rules
+        // recovery.
+        crashed = true;
+        return Status::Unavailable(
+            std::string("simulated crash at ") +
+            CrashPointName(CrashPoint::kPreManifestSwap));
+      });
+  if (crashed) crashed_ = true;
+  return status;
 }
 
 Status DurableStore::WriteCheckpoint(const AncIndex& index, Mark at) {
@@ -423,28 +368,29 @@ Status DurableStore::WriteCheckpoint(const AncIndex& index, Mark at) {
     const uint64_t generation = generation_ + 1;
     const std::string checkpoint_file = CheckpointName(generation, at.seq);
     const std::string checkpoint_path = dir_ + "/" + checkpoint_file;
-    const std::string tmp = checkpoint_path + ".tmp";
-    status = options_.checkpoint_writer
-                 ? options_.checkpoint_writer(index, tmp)
-                 : SaveIndex(index, tmp);
-    if (status.ok() && TestHooks::ShouldCrash(CrashPoint::kMidCheckpoint)) {
-      // Die halfway through writing the snapshot: a truncated temp file,
-      // never renamed into place. The previous checkpoint still rules.
-      std::error_code ec;
-      const auto size = fs::file_size(tmp, ec);
-      if (!ec) fs::resize_file(tmp, size / 2, ec);
-      crashed_ = true;
-      status = Status::Unavailable(std::string("simulated crash at ") +
-                                   CrashPointName(CrashPoint::kMidCheckpoint));
-    }
-    if (status.ok()) status = FsyncFile(tmp);
-    if (status.ok()) {
-      std::error_code ec;
-      fs::rename(tmp, checkpoint_path, ec);
-      if (ec) status = Status::IoError("cannot publish checkpoint: " +
-                                       ec.message());
-    }
-    if (status.ok()) status = FsyncDir(dir_);
+    bool crashed = false;
+    status = AtomicReplace(
+        checkpoint_path, checkpoint_path + ".tmp",
+        [&](const std::string& tmp) {
+          const Status written = options_.checkpoint_writer
+                                     ? options_.checkpoint_writer(index, tmp)
+                                     : SaveIndex(index, tmp);
+          if (!written.ok() ||
+              !TestHooks::ShouldCrash(CrashPoint::kMidCheckpoint)) {
+            return written;
+          }
+          // Die halfway through writing the snapshot: a truncated temp
+          // file, never renamed into place. The previous checkpoint still
+          // rules.
+          std::error_code ec;
+          const auto size = fs::file_size(tmp, ec);
+          if (!ec) fs::resize_file(tmp, size / 2, ec);
+          crashed = true;
+          return Status::Unavailable(
+              std::string("simulated crash at ") +
+              CrashPointName(CrashPoint::kMidCheckpoint));
+        });
+    if (crashed) crashed_ = true;
 
     // Rotate to a fresh segment: every sealed segment only holds tickets
     // <= at.seq (enforced above), so after the manifest swap they are

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "activation/activeness.h"
@@ -65,10 +66,12 @@ void AppendWalFrame(std::string* out, const Activation* data, size_t count,
                     uint64_t first_seq);
 
 /// Decodes one frame from an in-memory buffer — the inverse of
-/// AppendWalFrame, with the same validation as ReadWalSegment's frame loop
-/// (short header, zero/oversized length, short payload, CRC mismatch,
-/// inconsistent count all fail with InvalidArgument; nothing past a bad
-/// frame can be trusted). On success *consumed advances past the frame.
+/// AppendWalFrame and the one frame check ReadWalSegment also runs (short
+/// header, oversized length, short payload, CRC mismatch and inconsistent
+/// count all fail with InvalidArgument; nothing past a bad frame can be
+/// trusted). On success *consumed (when non-null) is the frame's size.
+Status DecodeWalFrame(std::string_view data, WalRecord* record,
+                      size_t* consumed);
 Result<WalRecord> DecodeWalFrame(const uint8_t* data, size_t size,
                                  size_t* consumed);
 
@@ -150,10 +153,6 @@ class WalAppender {
   bool crashed_ = false;
   bool closed_ = false;
 };
-
-/// fsync a file / a directory entry (segment creation, atomic renames).
-Status FsyncFile(const std::string& path);
-Status FsyncDir(const std::string& dir);
 
 }  // namespace anc::store
 

@@ -4,12 +4,11 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <sstream>
 
-#include "graph/graph.h"
 #include "tier/mapped_file.h"
+#include "tier/segment.h"
 #include "tier/tiered_store.h"
-#include "util/crc32c.h"
+#include "util/framed_record.h"
 
 namespace anc::tier {
 
@@ -17,56 +16,35 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr uint64_t kMaxPayloadBytes = 16ull << 30;
+// [magic "ANCTHD01"][u32 version], then the same u64-length frame as
+// ANCIDX02.
+constexpr char kHeadPrefix[12] = {kHeadMagic[0], kHeadMagic[1], kHeadMagic[2],
+                                  kHeadMagic[3], kHeadMagic[4], kHeadMagic[5],
+                                  kHeadMagic[6], kHeadMagic[7], kHeadVersion,
+                                  0,             0,             0};
+constexpr FrameFormat kHeadFrame{
+    std::string_view(kHeadPrefix, sizeof(kHeadPrefix)), 8, 16ull << 30};
+// Corruption guard: a column beyond this is rejected, never allocated.
 constexpr uint64_t kMaxElements = 1ull << 26;
 constexpr uint8_t kPageInline = 0;
 constexpr uint8_t kPageRef = 1;
 
-template <typename T>
-void WritePod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
-
-template <typename T>
-void WriteVec(std::ostream& out, const std::vector<T>& values) {
-  WritePod<uint64_t>(out, values.size());
-  out.write(reinterpret_cast<const char*>(values.data()),
-            static_cast<std::streamsize>(values.size() * sizeof(T)));
-}
-
-template <typename T>
-bool ReadVec(std::istream& in, std::vector<T>* values, uint64_t max_elements) {
-  uint64_t size = 0;
-  if (!ReadPod(in, &size) || size > max_elements) return false;
-  values->resize(size);
-  in.read(reinterpret_cast<char*>(values->data()),
-          static_cast<std::streamsize>(size * sizeof(T)));
-  return static_cast<bool>(in);
-}
-
-void WritePageTable(std::ostream& out, const HeadColumn& column) {
-  WritePod<uint64_t>(out, column.elems);
-  WritePod<uint32_t>(out, column.page_elems);
-  WritePod<uint32_t>(out, static_cast<uint32_t>(column.pages.size()));
+void PutPageTable(std::string* out, const HeadColumn& column) {
+  PutU64(out, column.elems);
+  PutU32(out, column.page_elems);
+  PutU32(out, static_cast<uint32_t>(column.pages.size()));
   for (const HeadPage& page : column.pages) {
     if (page.segment.empty()) {
-      WritePod<uint8_t>(out, kPageInline);
-      WritePod<uint32_t>(out, page.bytes);
-      out.write(page.inline_data, page.bytes);
+      PutU8(out, kPageInline);
+      PutU32(out, page.bytes);
+      out->append(page.inline_data, page.bytes);
     } else {
-      WritePod<uint8_t>(out, kPageRef);
-      WritePod<uint16_t>(out, static_cast<uint16_t>(page.segment.size()));
-      out.write(page.segment.data(),
-                static_cast<std::streamsize>(page.segment.size()));
-      WritePod<uint64_t>(out, page.offset);
-      WritePod<uint32_t>(out, page.bytes);
-      WritePod<uint32_t>(out, page.crc);
+      PutU8(out, kPageRef);
+      PutU16(out, static_cast<uint16_t>(page.segment.size()));
+      out->append(page.segment);
+      PutU64(out, page.offset);
+      PutU32(out, page.bytes);
+      PutU32(out, page.crc);
     }
   }
 }
@@ -74,7 +52,7 @@ void WritePageTable(std::ostream& out, const HeadColumn& column) {
 /// Materializes one page-table column of doubles, resolving references
 /// against mmap'd segments under `tier_dir` (opened once each, cached in
 /// `mappings`) with per-page CRC checks.
-Status ReadPageTable(std::istream& in, const std::string& path,
+Status ReadPageTable(ByteReader* in, const std::string& path,
                      const std::string& tier_dir,
                      std::map<std::string, std::unique_ptr<MappedFile>>*
                          mappings,
@@ -83,8 +61,8 @@ Status ReadPageTable(std::istream& in, const std::string& path,
   uint64_t elems = 0;
   uint32_t page_elems = 0;
   uint32_t page_count = 0;
-  if (!ReadPod(in, &elems) || !ReadPod(in, &page_elems) ||
-      !ReadPod(in, &page_count) || elems > kMaxElements) {
+  if (!in->Read(&elems, &page_elems, &page_count).ok() ||
+      elems > kMaxElements) {
     return Status::IoError(path + ": truncated page table header");
   }
   if (page_elems == 0 ||
@@ -100,34 +78,37 @@ Status ReadPageTable(std::istream& in, const std::string& path,
     const uint64_t page_end = std::min<uint64_t>(elems, begin + page_elems);
     const uint64_t expected_bytes = (page_end - begin) * sizeof(double);
     uint8_t kind = 0;
-    if (!ReadPod(in, &kind)) {
+    if (!in->Read(&kind).ok()) {
       return Status::IoError(path + ": truncated page table");
     }
     if (kind == kPageInline) {
       uint32_t bytes = 0;
-      if (!ReadPod(in, &bytes) || bytes != expected_bytes) {
+      std::string_view data;
+      if (!in->Read(&bytes).ok() || bytes != expected_bytes) {
         return Status::InvalidArgument(path + ": bad inline page size");
       }
-      in.read(reinterpret_cast<char*>(out->data() + begin), bytes);
-      if (!in) return Status::IoError(path + ": truncated inline page");
+      if (!in->ReadBytes(bytes, &data).ok()) {
+        return Status::IoError(path + ": truncated inline page");
+      }
+      std::memcpy(out->data() + begin, data.data(), bytes);
       continue;
     }
     if (kind != kPageRef) {
       return Status::InvalidArgument(path + ": unknown page kind");
     }
     uint16_t name_len = 0;
-    if (!ReadPod(in, &name_len) || name_len == 0 || name_len > 512) {
+    if (!in->Read(&name_len).ok() || name_len == 0 || name_len > 512) {
       return Status::InvalidArgument(path + ": bad segment name length");
     }
-    std::string name(name_len, '\0');
-    in.read(name.data(), name_len);
+    std::string_view name_bytes;
     uint64_t offset = 0;
     uint32_t bytes = 0;
     uint32_t crc = 0;
-    if (!in || !ReadPod(in, &offset) || !ReadPod(in, &bytes) ||
-        !ReadPod(in, &crc)) {
+    if (!in->ReadBytes(name_len, &name_bytes).ok() ||
+        !in->Read(&offset, &bytes, &crc).ok()) {
       return Status::IoError(path + ": truncated page reference");
     }
+    const std::string name(name_bytes);
     if (bytes != expected_bytes ||
         name.find('/') != std::string::npos) {  // refs never escape tier_dir
       return Status::InvalidArgument(path + ": malformed page reference");
@@ -148,7 +129,7 @@ Status ReadPageTable(std::istream& in, const std::string& path,
                                      "in " + name);
     }
     const char* data = file.data() + offset;
-    if (Crc32c(data, bytes) != crc) {
+    if (!PageCrcMatches(data, bytes, crc)) {
       return Status::InvalidArgument(path + ": page checksum mismatch in " +
                                      name);
     }
@@ -163,72 +144,13 @@ Status ReadPageTable(std::istream& in, const std::string& path,
 Status WriteTieredHead(const AncIndex& index, const HeadColumn& anchored,
                        const HeadColumn& similarity,
                        const std::string& path) {
-  std::ostringstream out(std::ios::binary);
-
-  // --- graph topology (same section layout as ANCIDX02) ---
-  const Graph& g = index.graph();
-  WritePod<uint32_t>(out, g.NumNodes());
-  std::vector<uint64_t> edges(g.NumEdges());
-  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    const auto& [u, v] = g.Endpoints(e);
-    edges[e] = (static_cast<uint64_t>(u) << 32) | v;
-  }
-  WriteVec(out, edges);
-
-  // --- configuration ---
-  const AncConfig& config = index.config();
-  WritePod(out, config.similarity.lambda);
-  WritePod(out, config.similarity.epsilon);
-  WritePod(out, config.similarity.mu);
-  WritePod(out, config.similarity.min_similarity);
-  WritePod(out, config.similarity.max_similarity);
-  WritePod(out, config.similarity.initial_activeness);
-  WritePod(out, config.pyramid.num_pyramids);
-  WritePod(out, config.pyramid.theta);
-  WritePod(out, config.pyramid.seed);
-  WritePod(out, config.pyramid.num_threads);
-  WritePod<uint8_t>(out, static_cast<uint8_t>(config.mode));
-  WritePod(out, config.rep);
-  WritePod(out, config.reinforce_interval);
-
-  // --- similarity / activeness state, as page tables ---
   const ActivenessStore& activeness = index.engine().activeness();
-  WritePod(out, activeness.anchor_time());
-  WritePod(out, activeness.last_time());
-  WritePageTable(out, anchored);
-  WritePageTable(out, similarity);
-
-  // --- ANCOR interval bookkeeping ---
-  WritePod(out, index.last_reinforce_time());
-  WriteVec(out, index.PendingReinforceEdges());
-
-  // --- pyramid partition trees (exact, including tie-breaks) ---
-  std::vector<VoronoiPartition::TreeState> trees =
-      index.index().ExportTreeStates();
-  WritePod<uint64_t>(out, trees.size());
-  for (const auto& tree : trees) {
-    WriteVec(out, tree.seeds);
-    WriteVec(out, tree.seed_of);
-    WriteVec(out, tree.dist);
-    WriteVec(out, tree.parent);
-    WriteVec(out, tree.parent_edge);
-    WriteVec(out, tree.first_child);
-    WriteVec(out, tree.next_sibling);
-    WriteVec(out, tree.prev_sibling);
-  }
-
-  if (!out) return Status::IoError("serialization error for " + path);
-  const std::string payload = out.str();
-
-  std::ofstream file(path, std::ios::binary);
-  if (!file) return Status::IoError("cannot open " + path + " for writing");
-  file.write(kHeadMagic, sizeof(kHeadMagic));
-  WritePod<uint32_t>(file, kHeadVersion);
-  WritePod<uint64_t>(file, payload.size());
-  WritePod<uint32_t>(file, Crc32c(payload.data(), payload.size()));
-  file.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  if (!file) return Status::IoError("write error on " + path);
-  return Status::OK();
+  return SaveIndexImage(index, path, kHeadFrame, [&](std::string* out) {
+    PutF64(out, activeness.anchor_time());
+    PutF64(out, activeness.last_time());
+    PutPageTable(out, anchored);
+    PutPageTable(out, similarity);
+  });
 }
 
 bool IsTieredHead(const std::string& path) {
@@ -241,129 +163,19 @@ bool IsTieredHead(const std::string& path) {
 Result<LoadedIndex> LoadTieredHead(const std::string& path,
                                    const std::string& tier_dir,
                                    std::set<std::string>* segment_refs) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return Status::IoError("cannot open " + path);
-  char magic[sizeof(kHeadMagic)] = {};
-  file.read(magic, sizeof(magic));
-  if (!file || std::memcmp(magic, kHeadMagic, sizeof(kHeadMagic)) != 0) {
-    return Status::InvalidArgument(path + ": not an ANC tiered head");
-  }
-  uint32_t version = 0;
-  uint64_t payload_bytes = 0;
-  uint32_t crc = 0;
-  if (!ReadPod(file, &version) || !ReadPod(file, &payload_bytes) ||
-      !ReadPod(file, &crc)) {
-    return Status::InvalidArgument(path + ": truncated head header");
-  }
-  if (version != kHeadVersion) {
-    return Status::InvalidArgument(path + ": head format version " +
-                                   std::to_string(version) +
-                                   " does not match this build's " +
-                                   std::to_string(kHeadVersion));
-  }
-  if (payload_bytes > kMaxPayloadBytes) {
-    return Status::InvalidArgument(path + ": implausible payload size");
-  }
-  std::string payload(payload_bytes, '\0');
-  file.read(payload.data(), static_cast<std::streamsize>(payload_bytes));
-  if (!file) return Status::InvalidArgument(path + ": truncated head payload");
-  if (Crc32c(payload.data(), payload.size()) != crc) {
-    return Status::InvalidArgument(path + ": head checksum mismatch "
-                                   "(file is corrupted)");
-  }
-  std::istringstream in(payload, std::ios::binary);
-
-  // --- graph ---
-  uint32_t num_nodes = 0;
-  std::vector<uint64_t> edges;
-  if (!ReadPod(in, &num_nodes) || !ReadVec(in, &edges, kMaxElements)) {
-    return Status::IoError(path + ": truncated graph section");
-  }
-  GraphBuilder builder;
-  builder.SetNumNodes(num_nodes);
-  for (uint64_t packed : edges) {
-    const NodeId u = static_cast<NodeId>(packed >> 32);
-    const NodeId v = static_cast<NodeId>(packed & 0xFFFFFFFFu);
-    ANC_RETURN_NOT_OK(builder.AddEdge(u, v));
-  }
-  auto graph = std::make_unique<Graph>(builder.Build());
-  if (graph->NumNodes() != num_nodes || graph->NumEdges() != edges.size()) {
-    return Status::InvalidArgument(path + ": inconsistent graph section");
-  }
-
-  // --- configuration ---
-  AncConfig config;
-  uint8_t mode = 0;
-  bool ok = ReadPod(in, &config.similarity.lambda) &&
-            ReadPod(in, &config.similarity.epsilon) &&
-            ReadPod(in, &config.similarity.mu) &&
-            ReadPod(in, &config.similarity.min_similarity) &&
-            ReadPod(in, &config.similarity.max_similarity) &&
-            ReadPod(in, &config.similarity.initial_activeness) &&
-            ReadPod(in, &config.pyramid.num_pyramids) &&
-            ReadPod(in, &config.pyramid.theta) &&
-            ReadPod(in, &config.pyramid.seed) &&
-            ReadPod(in, &config.pyramid.num_threads) && ReadPod(in, &mode) &&
-            ReadPod(in, &config.rep) && ReadPod(in, &config.reinforce_interval);
-  if (!ok) return Status::IoError(path + ": truncated config section");
-  if (mode > static_cast<uint8_t>(AncMode::kOnlineReinforce)) {
-    return Status::InvalidArgument(path + ": unknown mode byte");
-  }
-  config.mode = static_cast<AncMode>(mode);
-
-  // --- similarity state: materialize the page tables ---
-  SimilarityEngine::Snapshot snapshot;
-  if (!ReadPod(in, &snapshot.anchor_time) ||
-      !ReadPod(in, &snapshot.last_time)) {
-    return Status::IoError(path + ": truncated similarity section");
-  }
   std::map<std::string, std::unique_ptr<MappedFile>> mappings;
-  ANC_RETURN_NOT_OK(ReadPageTable(in, path, tier_dir, &mappings, segment_refs,
-                                  &snapshot.anchored_activeness));
-  ANC_RETURN_NOT_OK(ReadPageTable(in, path, tier_dir, &mappings, segment_refs,
-                                  &snapshot.similarity));
-
-  // --- ANCOR interval bookkeeping ---
-  double last_reinforce_time = 0.0;
-  std::vector<EdgeId> pending_edges;
-  if (!ReadPod(in, &last_reinforce_time) ||
-      !ReadVec(in, &pending_edges, kMaxElements)) {
-    return Status::IoError(path + ": truncated reinforce section");
-  }
-
-  // --- pyramid partition trees ---
-  uint64_t num_slots = 0;
-  if (!ReadPod(in, &num_slots) || num_slots > kMaxElements) {
-    return Status::IoError(path + ": truncated partition section");
-  }
-  std::vector<VoronoiPartition::TreeState> trees(num_slots);
-  for (auto& tree : trees) {
-    if (!ReadVec(in, &tree.seeds, kMaxElements) ||
-        !ReadVec(in, &tree.seed_of, kMaxElements) ||
-        !ReadVec(in, &tree.dist, kMaxElements) ||
-        !ReadVec(in, &tree.parent, kMaxElements) ||
-        !ReadVec(in, &tree.parent_edge, kMaxElements) ||
-        !ReadVec(in, &tree.first_child, kMaxElements) ||
-        !ReadVec(in, &tree.next_sibling, kMaxElements) ||
-        !ReadVec(in, &tree.prev_sibling, kMaxElements)) {
-      return Status::IoError(path + ": truncated partition tree");
-    }
-  }
-
-  // From here the load is identical to ANCIDX02's: FromSnapshot rebuilds
-  // sigma caches, partitions and votes from the materialized vectors, so
-  // the resulting index is byte-identical to one loaded from a full
-  // snapshot of the same state.
-  LoadedIndex loaded;
-  loaded.index =
-      AncIndex::FromSnapshot(*graph, config, snapshot, std::move(trees));
-  if (loaded.index == nullptr) {
-    return Status::InvalidArgument(path + ": state does not match graph");
-  }
-  loaded.index->RestoreReinforceState(last_reinforce_time,
-                                      std::move(pending_edges));
-  loaded.graph = std::move(graph);
-  return loaded;
+  return LoadIndexImage(
+      path, kHeadFrame,
+      [&](ByteReader* in, SimilarityEngine::Snapshot* state) {
+        if (!in->Read(&state->anchor_time, &state->last_time).ok()) {
+          return Status::IoError(path + ": truncated similarity section");
+        }
+        ANC_RETURN_NOT_OK(ReadPageTable(in, path, tier_dir, &mappings,
+                                        segment_refs,
+                                        &state->anchored_activeness));
+        return ReadPageTable(in, path, tier_dir, &mappings, segment_refs,
+                             &state->similarity);
+      });
 }
 
 Result<store::RecoveredStore> Recover(const std::string& dir) {

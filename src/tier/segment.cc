@@ -4,73 +4,19 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 
 #include "store/test_hooks.h"
-#include "store/wal.h"
+#include "util/atomic_file.h"
 #include "util/crc32c.h"
+#include "util/framed_record.h"
 
 namespace anc::tier {
 
 namespace {
 
-Status WriteAll(int fd, const void* data, size_t bytes,
-                const std::string& path) {
-  const char* p = static_cast<const char*>(data);
-  while (bytes > 0) {
-    const ssize_t n = ::write(fd, p, bytes);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError("write " + path + ": " + std::strerror(errno));
-    }
-    p += n;
-    bytes -= static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-void PutU16(std::string* out, uint16_t v) {
-  char buf[2];
-  std::memcpy(buf, &v, 2);
-  out->append(buf, 2);
-}
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-uint16_t GetU16(const char* p) {
-  uint16_t v;
-  std::memcpy(&v, p, 2);
-  return v;
-}
-uint32_t GetU32(const char* p) {
-  uint32_t v;
-  std::memcpy(&v, p, 4);
-  return v;
-}
-uint64_t GetU64(const char* p) {
-  uint64_t v;
-  std::memcpy(&v, p, 8);
-  return v;
-}
-
 uint64_t PageKey(uint16_t column_id, uint32_t page_index) {
   return (uint64_t{column_id} << 32) | page_index;
-}
-
-std::string DirName(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) return ".";
-  if (slash == 0) return "/";
-  return path.substr(0, slash);
 }
 
 }  // namespace
@@ -144,38 +90,38 @@ Status SegmentWriter::Finish() {
     AbandonForCrash();
     return Status::Unavailable("simulated crash: mid-segment-write");
   }
+  // Directory + tail, then the shared temp → fsync → rename → dir fsync.
   std::string tail;
-  const uint64_t dir_offset = offset_;
-  std::string dir;
-  dir.reserve(dir_.size() * kSegmentDirEntryBytes);
+  tail.reserve(dir_.size() * kSegmentDirEntryBytes + kSegmentTailBytes);
   for (const SegmentPage& page : dir_) {
-    PutU16(&dir, page.column_id);
-    PutU16(&dir, page.elem_size);
-    PutU32(&dir, page.page_index);
-    PutU64(&dir, page.offset);
-    PutU32(&dir, page.bytes);
-    PutU32(&dir, page.crc);
+    PutU16(&tail, page.column_id);
+    PutU16(&tail, page.elem_size);
+    PutU32(&tail, page.page_index);
+    PutU64(&tail, page.offset);
+    PutU32(&tail, page.bytes);
+    PutU32(&tail, page.crc);
   }
-  tail = dir;
-  PutU64(&tail, dir_offset);
+  const uint32_t dir_crc = Crc32c(tail.data(), tail.size());
+  PutU64(&tail, offset_);
   PutU32(&tail, static_cast<uint32_t>(dir_.size()));
-  PutU32(&tail, Crc32c(dir.data(), dir.size()));
+  PutU32(&tail, dir_crc);
   tail.append(kSegmentFooterMagic, sizeof(kSegmentFooterMagic));
-  ANC_RETURN_NOT_OK(WriteAll(fd_, tail.data(), tail.size(), tmp_path_));
-  if (::fsync(fd_) != 0) {
-    return Status::IoError("fsync " + tmp_path_ + ": " + std::strerror(errno));
-  }
-  ::close(fd_);
-  fd_ = -1;
-  if (::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
-    return Status::IoError("rename " + tmp_path_ + " -> " + path_ + ": " +
-                           std::strerror(errno));
-  }
-  finished_ = true;
-  return store::FsyncDir(DirName(path_));
+  const Status status =
+      AtomicReplace(path_, tmp_path_, [this, &tail](const std::string& tmp) {
+        const Status written = WriteAll(fd_, tail.data(), tail.size(), tmp);
+        ::close(fd_);
+        fd_ = -1;
+        return written;
+      });
+  if (status.ok()) finished_ = true;
+  return status;
 }
 
 // --- Decoding --------------------------------------------------------------
+
+bool PageCrcMatches(const void* data, uint32_t bytes, uint32_t crc) {
+  return Crc32c(data, bytes) == crc;
+}
 
 Status DecodeSegment(const char* data, size_t size,
                      std::vector<SegmentPage>* pages, bool verify_pages) {
@@ -186,7 +132,8 @@ Status DecodeSegment(const char* data, size_t size,
   if (std::memcmp(data, kSegmentMagic, sizeof(kSegmentMagic)) != 0) {
     return Status::IoError("bad segment magic");
   }
-  const uint32_t version = GetU32(data + 8);
+  uint32_t version = 0;
+  std::memcpy(&version, data + sizeof(kSegmentMagic), sizeof(version));
   if (version != kSegmentVersion) {
     return Status::IoError("unsupported segment version " +
                            std::to_string(version));
@@ -196,9 +143,12 @@ Status DecodeSegment(const char* data, size_t size,
                   sizeof(kSegmentFooterMagic)) != 0) {
     return Status::IoError("bad segment footer magic (torn segment)");
   }
-  const uint64_t dir_offset = GetU64(tail);
-  const uint32_t dir_count = GetU32(tail + 8);
-  const uint32_t dir_crc = GetU32(tail + 12);
+  uint64_t dir_offset = 0;
+  uint32_t dir_count = 0;
+  uint32_t dir_crc = 0;
+  // In bounds: the size check above covers the whole tail.
+  (void)ByteReader(tail, kSegmentTailBytes)
+      .Read(&dir_offset, &dir_count, &dir_crc);
   if (dir_count > kMaxSegmentPages) {
     return Status::IoError("segment directory count out of range");
   }
@@ -213,15 +163,12 @@ Status DecodeSegment(const char* data, size_t size,
     return Status::IoError("segment directory CRC mismatch");
   }
   pages->reserve(dir_count);
+  ByteReader entries(dir, dir_bytes);
   for (uint32_t i = 0; i < dir_count; ++i) {
-    const char* entry = dir + uint64_t{i} * kSegmentDirEntryBytes;
     SegmentPage page;
-    page.column_id = GetU16(entry);
-    page.elem_size = GetU16(entry + 2);
-    page.page_index = GetU32(entry + 4);
-    page.offset = GetU64(entry + 8);
-    page.bytes = GetU32(entry + 16);
-    page.crc = GetU32(entry + 20);
+    // In bounds: dir_bytes is exactly dir_count entries.
+    (void)entries.Read(&page.column_id, &page.elem_size, &page.page_index,
+                       &page.offset, &page.bytes, &page.crc);
     if (page.bytes > kMaxSegmentPageBytes ||
         page.offset < kSegmentHeaderBytes || page.offset > dir_offset ||
         page.bytes > dir_offset - page.offset) {
@@ -233,7 +180,7 @@ Status DecodeSegment(const char* data, size_t size,
                              " has a malformed element size");
     }
     page.data = data + page.offset;
-    if (verify_pages && Crc32c(page.data, page.bytes) != page.crc) {
+    if (verify_pages && !PageCrcMatches(page.data, page.bytes, page.crc)) {
       return Status::IoError("segment page " + std::to_string(i) +
                              " CRC mismatch");
     }
@@ -278,7 +225,7 @@ const SegmentPage* SegmentReader::Find(uint16_t column_id,
 Status SegmentReader::VerifyAll() const {
   for (size_t i = 0; i < pages_.size(); ++i) {
     const SegmentPage& page = pages_[i];
-    if (Crc32c(page.data, page.bytes) != page.crc) {
+    if (!PageCrcMatches(page.data, page.bytes, page.crc)) {
       return Status::IoError(path() + ": page " + std::to_string(i) +
                              " CRC mismatch");
     }

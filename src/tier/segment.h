@@ -127,6 +127,10 @@ class SegmentReader {
   std::unordered_map<uint64_t, size_t> by_key_;  // (column<<32|page) -> index
 };
 
+/// True when a page payload matches its directory CRC — the one page check
+/// segment readers, recovery and tiered-head references share.
+bool PageCrcMatches(const void* data, uint32_t bytes, uint32_t crc);
+
 /// Parses a segment image in memory (the decoder the fuzz harness drives):
 /// on success fills `pages` with bounds-checked directory entries whose
 /// `data` pointers aim into `data`. Never reads outside [data, data+size).

@@ -3,17 +3,14 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "core/serialization.h"
 #include "store/test_hooks.h"
-#include "store/wal.h"
 #include "tier/head.h"
-#include "util/crc32c.h"
+#include "util/atomic_file.h"
+#include "util/framed_record.h"
 
 namespace anc::tier {
 
@@ -21,22 +18,12 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr char kManifestMagic[8] = {'A', 'N', 'C', 'T', 'M', 'N', '0', '1'};
-constexpr uint32_t kManifestVersion = 1;
+// [magic "ANCTMN01"][u32 version = 1], then the shared frame.
+constexpr char kManifestPrefix[12] = {'A', 'N', 'C', 'T', 'M', 'N',
+                                      '0', '1', 1,   0,   0,   0};
+constexpr FrameFormat kManifestFrame{
+    std::string_view(kManifestPrefix, sizeof(kManifestPrefix)), 4, 64u << 20};
 constexpr char kManifestFile[] = "TIERMANIFEST";
-// Corruption guard for the manifest's segment list.
-constexpr uint32_t kMaxManifestSegments = 1u << 20;
-
-template <typename T>
-void WritePod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
 
 }  // namespace
 
@@ -60,88 +47,54 @@ bool ParseSegmentFileName(const std::string& name, uint64_t* id) {
 
 Result<TierManifest> ReadTierManifest(const std::string& tier_dir) {
   const std::string path = tier_dir + "/" + kManifestFile;
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return Status::NotFound("no tier manifest at " + path);
-  char magic[sizeof(kManifestMagic)] = {};
-  uint32_t version = 0;
-  uint32_t payload_bytes = 0;
-  uint32_t crc = 0;
-  file.read(magic, sizeof(magic));
-  if (!file || std::memcmp(magic, kManifestMagic, sizeof(magic)) != 0) {
-    return Status::InvalidArgument(path + ": not a tier manifest");
+  std::string file;
+  if (!ReadFile(path, &file).ok()) {
+    return Status::NotFound("no tier manifest at " + path);
   }
-  if (!ReadPod(file, &version) || !ReadPod(file, &payload_bytes) ||
-      !ReadPod(file, &crc)) {
-    return Status::InvalidArgument(path + ": truncated manifest header");
+  std::string_view payload;
+  const Status framed = DecodeFrame(kManifestFrame, file, &payload);
+  if (!framed.ok()) {
+    return Status::InvalidArgument(path + ": " + framed.message());
   }
-  if (version != kManifestVersion) {
-    return Status::InvalidArgument(path + ": unsupported manifest version " +
-                                   std::to_string(version));
-  }
-  if (payload_bytes > (64u << 20)) {
-    return Status::InvalidArgument(path + ": implausible manifest size");
-  }
-  std::string payload(payload_bytes, '\0');
-  file.read(payload.data(), payload_bytes);
-  if (!file) return Status::InvalidArgument(path + ": truncated manifest");
-  if (Crc32c(payload.data(), payload.size()) != crc) {
-    return Status::InvalidArgument(path + ": manifest checksum mismatch");
-  }
-  std::istringstream in(payload, std::ios::binary);
+  ByteReader in(payload);
   TierManifest manifest;
   uint32_t count = 0;
-  if (!ReadPod(in, &manifest.next_segment_id) || !ReadPod(in, &count) ||
-      count > kMaxManifestSegments) {
+  // Each entry costs at least its u32 length: a forged count cannot
+  // allocate beyond the payload.
+  if (!in.Read(&manifest.next_segment_id, &count).ok() ||
+      count > in.remaining() / sizeof(uint32_t)) {
     return Status::InvalidArgument(path + ": malformed manifest payload");
   }
-  manifest.segments.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    uint32_t len = 0;
-    if (!ReadPod(in, &len) || len > 4096) {
+  manifest.segments.resize(count);
+  for (std::string& name : manifest.segments) {
+    if (!in.ReadString32(&name).ok()) {
       return Status::InvalidArgument(path + ": malformed manifest entry");
     }
-    std::string name(len, '\0');
-    in.read(name.data(), len);
-    if (!in) return Status::InvalidArgument(path + ": truncated entry");
-    manifest.segments.push_back(std::move(name));
   }
   return manifest;
 }
 
 Status WriteTierManifest(const std::string& tier_dir,
                          const TierManifest& manifest) {
-  std::ostringstream out(std::ios::binary);
-  WritePod(out, manifest.next_segment_id);
-  WritePod<uint32_t>(out, static_cast<uint32_t>(manifest.segments.size()));
-  for (const std::string& name : manifest.segments) {
-    WritePod<uint32_t>(out, static_cast<uint32_t>(name.size()));
-    out.write(name.data(), static_cast<std::streamsize>(name.size()));
-  }
-  const std::string payload = out.str();
+  std::string image;
+  const size_t begin = BeginFrame(&image, kManifestFrame);
+  PutU64(&image, manifest.next_segment_id);
+  PutU32(&image, static_cast<uint32_t>(manifest.segments.size()));
+  for (const std::string& name : manifest.segments) PutString32(&image, name);
+  EndFrame(&image, kManifestFrame, begin);
 
   const std::string path = tier_dir + "/" + kManifestFile;
-  const std::string tmp = path + ".swap";  // .tmp is GC'd by the store layer
-  {
-    std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
-    if (!file) return Status::IoError("cannot open " + tmp);
-    file.write(kManifestMagic, sizeof(kManifestMagic));
-    WritePod(file, kManifestVersion);
-    WritePod<uint32_t>(file, static_cast<uint32_t>(payload.size()));
-    WritePod<uint32_t>(file, Crc32c(payload.data(), payload.size()));
-    file.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    if (!file) return Status::IoError("write error on " + tmp);
-  }
-  ANC_RETURN_NOT_OK(store::FsyncFile(tmp));
-  if (store::TestHooks::ShouldCrash(store::CrashPoint::kPreTierManifestSwap)) {
+  // .tmp is GC'd by the store layer, hence the distinct temp suffix.
+  return AtomicReplace(path, path + ".swap", image, [] {
+    if (!store::TestHooks::ShouldCrash(
+            store::CrashPoint::kPreTierManifestSwap)) {
+      return Status::OK();
+    }
     // The new segment set is durable but the swap never happens: the
     // previous manifest — and the installed checkpoint head's segment
     // references — still rule recovery.
     return Status::Unavailable("simulated crash: pre-tier-manifest-swap");
-  }
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) return Status::IoError("cannot swap tier manifest: " + ec.message());
-  return store::FsyncDir(tier_dir);
+  });
 }
 
 // ---------------------------------------------------------------------------
