@@ -63,10 +63,14 @@ struct ServeOptions {
   /// letting the similarity layer's batched rescale amortize per Lemma 1).
   size_t max_batch = 256;
 
-  /// Staleness bounds: a fresh view is published after at most this many
-  /// applied activations ...
+  /// Publish cadence: the writer publishes a fresh view once this many
+  /// activations have been applied since the last publish ...
   uint64_t snapshot_every_activations = 64;
-  /// ... and at most this much wall time after an unpublished apply.
+  /// ... or this much wall time has passed since it. Both are checked once
+  /// per drained batch (and at idle wakeups), never mid-batch, so under a
+  /// backlog a view covers fewer than snapshot_every_activations +
+  /// max_batch applies (up to 319 with the defaults) and can be older than
+  /// this by one batch's apply time.
   double snapshot_max_age_s = 0.010;
 
   /// Idle wakeup granularity of the writer (bounds publication delay when

@@ -315,6 +315,41 @@ TEST(ServeWatermarkTest, AwaitSeqIsLinearizable) {
   server.Stop();
 }
 
+TEST(ServeWatermarkTest, PublishesOnlyAtBatchBoundariesUnderBacklog) {
+  // Under a backlog the writer checks the publish cadence once per drained
+  // batch, so a view can cover up to snapshot_every_activations - 1 +
+  // max_batch applies (docs/serving.md "Knobs"). Pin that: 64 queued
+  // activations drain as four 16-activation batches; with a cadence of 20
+  // the count crosses it after batches 2 and 4, so exactly two publishes
+  // of 32 applies each follow the initial view.
+  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics disabled";
+  GroundTruthGraph data = SmallCommunityGraph(37);
+  Rng rng(15);
+  ActivationStream stream = CommunityBiasedStream(
+      data.graph, data.truth.labels, 20, 0.1, 4.0, rng);
+  ASSERT_GE(stream.size(), 64u);
+  stream.resize(64);
+
+  AncIndex index(data.graph, SmallConfig());
+  ServeOptions options;
+  options.max_batch = 16;
+  options.snapshot_every_activations = 20;
+  options.snapshot_max_age_s = 3600.0;  // only the count cadence applies
+  AncServer server(&index, options);
+  // Queued before the writer starts, so every drain is a full batch.
+  ASSERT_TRUE(server.SubmitBatch(stream.data(), stream.size()).ok());
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(server.Flush(kAwait).ok());
+  // The view is installed before its watermark, so after Flush it is the
+  // view published at ticket 64; the batch counter is bumped before the
+  // publish check.
+  const std::shared_ptr<const ClusterView> view = server.View();
+  EXPECT_EQ(view->watermark().seq, 64u);
+  EXPECT_EQ(view->epoch(), 1u + 2u);
+  EXPECT_EQ(server.Stats().counter("anc.serve.batches"), 4u);
+  server.Stop();
+}
+
 TEST(ServeWatermarkTest, AwaitTimeCoversTimestamp) {
   GroundTruthGraph data = SmallCommunityGraph(41);
   Rng rng(13);
